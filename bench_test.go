@@ -90,8 +90,8 @@ func BenchmarkFingerprint(b *testing.B) {
 }
 
 // BenchmarkVerificationRound measures a full distributed verification round
-// (goroutine per node) for the two MST schemes — the paper's headline
-// predicate — across network sizes.
+// on the engine's default round kernel (Sequential) for the two MST schemes
+// — the paper's headline predicate — across network sizes.
 func BenchmarkVerificationRound(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		cfg, err := experiments.BuildMSTConfig(n, uint64(n))
@@ -164,17 +164,14 @@ func BenchmarkCrossingAttack(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine executor benchmarks: the hot verification path across backends.
-// Sequential and Pool are expected to beat Goroutines from n = 1024 up —
-// the goroutine-per-node model pays per-edge channels and n goroutines per
-// round, which is exactly what the engine redesign amortizes away.
+// Engine executor benchmarks: one verification round on the round kernel
+// (Sequential) and on Batched, whose single round is the one-lane plane
+// path for lane-aware schemes and the kernel fallback otherwise.
 // ---------------------------------------------------------------------------
 
 func engineExecutors() []engine.Executor {
 	return []engine.Executor{
 		engine.NewSequential(),
-		engine.NewPool(0),
-		engine.NewGoroutines(),
 		engine.NewBatched(),
 	}
 }
@@ -288,31 +285,6 @@ func BenchmarkEstimateParallel(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablations for the design choices DESIGN.md calls out.
 // ---------------------------------------------------------------------------
-
-// BenchmarkAblationRoundExecution compares the goroutine-per-node round to
-// the sequential fast path (identical semantics; see runtime).
-func BenchmarkAblationRoundExecution(b *testing.B) {
-	cfg := experiments.BuildUniformConfig(512, 32, 9)
-	s := uniform.NewRPLS()
-	labels, err := s.Label(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("goroutines", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !engine.Verify(engine.FromRPLS(s), cfg, labels, engine.WithSeed(uint64(i))).Accepted {
-				b.Fatal("rejected")
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if engine.Acceptance(engine.FromRPLS(s), cfg, labels, 1, uint64(i)) != 1.0 {
-				b.Fatal("rejected")
-			}
-		}
-	})
-}
 
 // BenchmarkAblationBoost measures how certificate size and round cost scale
 // with the boosting factor t (footnote 1: linear cost, exponential

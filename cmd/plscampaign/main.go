@@ -513,7 +513,7 @@ func cmdList() error {
 		fmt.Printf("  %-20s%-15s %s\n", f.Name, kind, f.Description)
 	}
 	fmt.Println("\nmeasures: estimate, soundness, comm")
-	fmt.Println("executors: sequential, pool, goroutines, batched")
+	fmt.Println("executors: " + strings.Join(engine.ExecutorNames(), ", "))
 	fmt.Println("rounds: any t >= 1 (t-PLS certificate sharding: ⌈κ/t⌉ bits per port per round)")
 	fmt.Println("multiplicity: any m >= 0 (message cap per round: 1 = broadcast, 0 = unconstrained unicast)")
 	return nil

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	plsrun -scheme mst -n 64 [-seed 7] [-mode rand] [-corrupt] [-trials 200] [-exec pool]
+//	plsrun -scheme mst -n 64 [-seed 7] [-mode rand] [-corrupt] [-trials 200] [-exec batched]
 //	plsrun -scheme mst -n 64 -parallel 8 -maxse 0.02
 //	plsrun -scheme mst -n 64 -rounds 4 -multiplicity 1
 //	plsrun -scheme mst -sweep 64,256,1024 -parallel 0
@@ -52,7 +52,7 @@ func run() error {
 	trials := flag.Int("trials", 200, "Monte-Carlo trials for randomized acceptance")
 	parallel := flag.Int("parallel", 1, "estimator workers (0 = all cores); summaries are bit-identical at any level")
 	maxSE := flag.Float64("maxse", 0, "stop an estimate once the 95% Wilson half-width is at most this (0 = off)")
-	execName := flag.String("exec", "sequential", "round executor: sequential, pool, goroutines, or batched")
+	execName := flag.String("exec", "sequential", "round executor: "+strings.Join(engine.ExecutorNames(), ", ")+" (identical results; batched runs lane-aware randomized schemes 64 trials per traversal)")
 	rounds := flag.Int("rounds", 1, "t-PLS verification rounds: shard every certificate into t rounds of ⌈κ/t⌉ bits per port")
 	multiplicity := flag.Int("multiplicity", 0, "message-multiplicity cap m per round: 1 = broadcast, 0 = unconstrained unicast")
 	sweep := flag.String("sweep", "", "comma-separated sizes; measure the randomized scheme across them")
@@ -94,7 +94,7 @@ func run() error {
 	if (reg.Det == nil || reg.DetParameterized) && (reg.Rand == nil || reg.RandParameterized) {
 		return fmt.Errorf("scheme %q is parameterized; drive it from Go (see examples/)", *scheme)
 	}
-	exec, err := executorFor(*execName)
+	exec, err := engine.NewExecutor(*execName)
 	if err != nil {
 		return err
 	}
@@ -259,21 +259,6 @@ func runSweep(s engine.Scheme, entry experiments.CatalogEntry, sizes string, tri
 			p.Summary.Acceptance, p.Summary.CILow, p.Summary.CIHigh)
 	}
 	return nil
-}
-
-func executorFor(name string) (engine.Executor, error) {
-	switch name {
-	case "sequential", "seq":
-		return engine.NewSequential(), nil
-	case "pool":
-		return engine.NewPool(0), nil
-	case "goroutines", "go":
-		return engine.NewGoroutines(), nil
-	case "batched":
-		return engine.NewBatched(), nil
-	default:
-		return nil, fmt.Errorf("unknown executor %q (sequential, pool, goroutines, batched)", name)
-	}
 }
 
 // catalogNote flags registry entries the CLI cannot drive end to end.

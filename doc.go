@@ -19,10 +19,12 @@
 // Entry points:
 //
 //   - internal/engine     — the verification API: the unified Scheme
-//     abstraction (one round shape for both models), the Sequential / Pool /
-//     Goroutines executors with exact wire accounting (bits per port per
-//     round, identical across executors), the MultiRound extension running
-//     t-round verification with round-indexed metering (engine.Shard wraps
+//     abstraction (one round shape for both models), one round kernel
+//     (Sequential: t >= 1 lockstep rounds, the classic round being t = 1)
+//     and its 64-lane bit-plane wide mode (Batched), with exact wire
+//     accounting (bits per port per round, identical across executors), the
+//     MultiRound extension running t-round verification with round-indexed
+//     metering (engine.Shard wraps
 //     any registered scheme via core.ShardCompile / core.ShardPLS), the
 //     trial-parallel Run / Estimate /
 //     Soundness / Sweep batch entry points (Wilson confidence intervals,

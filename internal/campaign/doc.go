@@ -3,7 +3,11 @@
 // the cross product of schemes × variants × graph families × sizes × seeds
 // × executors × measures — and a parallel scheduler streams the cells
 // through engine.Estimate and engine.Soundness into append-only JSONL
-// results with a resumable manifest.
+// results with a resumable manifest. Executor names resolve through
+// engine.NewExecutor ("sequential", alias "seq", and "batched"); a spec
+// naming any other executor, the retired "pool" and "goroutines" included,
+// fails validation with the engine's *OptionError before any cell runs,
+// since cell IDs encode the executor as spelled.
 //
 // The paper's headline claims are comparative (randomized certificates
 // beat deterministic labels across graph families, scheme types, and

@@ -276,7 +276,7 @@ func RunCell(c Cell) Record {
 			return fail(fmt.Errorf("%w: %v", ErrIncompatible, err))
 		}
 	}
-	newExec, err := executorFor(c.Executor)
+	exec, err := engine.NewExecutor(c.Executor)
 	if err != nil {
 		return fail(err)
 	}
@@ -288,7 +288,7 @@ func RunCell(c Cell) Record {
 	opts := []engine.Option{
 		engine.WithSeed(c.Seed),
 		engine.WithTrials(trials),
-		engine.WithExecutor(newExec()),
+		engine.WithExecutor(exec),
 		engine.WithMaxSE(c.MaxSE),
 	}
 	if c.Multiplicity > 0 {

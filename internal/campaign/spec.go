@@ -212,8 +212,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, e := range s.Executors {
-		if _, err := executorFor(e); err != nil {
-			return err
+		if _, err := engine.NewExecutor(e); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	return nil
@@ -394,19 +394,4 @@ func Expand(spec Spec) (*Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-func executorFor(name string) (func() engine.Executor, error) {
-	switch name {
-	case "sequential", "seq":
-		return func() engine.Executor { return engine.NewSequential() }, nil
-	case "pool":
-		return func() engine.Executor { return engine.NewPool(0) }, nil
-	case "goroutines", "go":
-		return func() engine.Executor { return engine.NewGoroutines() }, nil
-	case "batched":
-		return func() engine.Executor { return engine.NewBatched() }, nil
-	default:
-		return nil, fmt.Errorf("campaign: unknown executor %q (sequential, pool, goroutines, batched)", name)
-	}
 }

@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"rpls/internal/engine"
 )
 
 func testSpec() Spec {
@@ -29,14 +32,28 @@ func TestParseSpecRejectsUnknownNames(t *testing.T) {
 		{"unknown family", `{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"nope"}],"sizes":[8],"seeds":[1],"measures":["estimate"]}`, "unknown family"},
 		{"unknown measure", `{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"path"}],"sizes":[8],"seeds":[1],"measures":["nope"]}`, "unknown measure"},
 		{"unknown variant", `{"name":"x","schemes":[{"name":"leader","variants":["nope"]}],"families":[{"name":"path"}],"sizes":[8],"seeds":[1],"measures":["estimate"]}`, "unknown variant"},
-		{"unknown executor", `{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"path"}],"sizes":[8],"seeds":[1],"measures":["estimate"],"executors":["nope"]}`, "unknown executor"},
 		{"unknown field", `{"name":"x","schemez":[]}`, "unknown field"},
 		{"missing axes", `{"name":"x"}`, "needs schemes"},
 		{"tiny size", `{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"path"}],"sizes":[1],"seeds":[1],"measures":["estimate"]}`, "too small"},
 	}
+	// The retired executors are unknown names, not aliases: cell IDs encode
+	// the executor, so a spec naming one must fail rather than re-map.
+	for _, exec := range []string{"nope", "pool", "goroutines"} {
+		cases = append(cases, struct{ name, doc, wantErr string }{"unknown executor " + exec,
+			`{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"path"}],"sizes":[8],"seeds":[1],"measures":["estimate"],"executors":["` + exec + `"]}`,
+			"unknown executor"})
+	}
 	for _, tc := range cases {
-		if _, err := ParseSpec([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		_, err := ParseSpec([]byte(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.wantErr)
+			continue
+		}
+		if tc.wantErr == "unknown executor" {
+			var oe *engine.OptionError
+			if !errors.As(err, &oe) || oe.Option != "WithExecutor" || !errors.Is(err, engine.ErrOption) {
+				t.Errorf("%s: %v is not an engine WithExecutor option error", tc.name, err)
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // trial range produces the same Summary.
 const batchPlaneBudget = 1 << 21
 
-// Batched is the trial-batched executor: it snapshots the configuration's
+// Batched is the round kernel's wide mode: it snapshots the configuration's
 // adjacency into a CSR layout once per batch and runs up to 64 Monte-Carlo
 // trials ("lanes") through a single graph traversal. Certificates live in
 // a flat lane-major plane indexed by CSR slot, so the exchange is one
@@ -28,7 +28,7 @@ const batchPlaneBudget = 1 << 21
 // starting at trial t runs node streams prng.New(seed+t+l).Fork(v), the
 // exact coins a sequential trial would draw.
 type Batched struct {
-	seq Sequential // fallback paths share the classic executor
+	seq Sequential // fallback paths run the round kernel
 
 	csr      graph.CSR
 	plane    []core.Cert   // lane-major send plane: slot e of lane l at [l*slots+e]
@@ -41,13 +41,10 @@ type Batched struct {
 	rootVals []prng.Rand
 	votes    []bool
 
-	// Per-lane counters of the last runLanes call. The structural
-	// distinct-message count is lane-invariant (it depends on degrees and
-	// the cap, not coins), so one counter covers the whole batch.
-	accept   uint64
-	wire     [64]int64
-	maxCert  [64]int
-	distinct int64
+	// Outcome of the last runLanes call: bit l of accept is lane l's
+	// acceptance and lanes[l] its exact Stats.
+	accept uint64
+	lanes  [64]Stats
 }
 
 // NewBatched returns a batched executor with empty scratch.
@@ -56,7 +53,7 @@ func NewBatched() *Batched { return &Batched{} }
 // Name implements Executor.
 func (e *Batched) Name() string { return "batched" }
 
-// Clone implements Cloneable: a fresh batched executor with empty scratch.
+// Clone implements Executor: a fresh batched executor with empty scratch.
 func (e *Batched) Clone() Executor { return NewBatched() }
 
 // laneScheme returns the LaneRPLS behind s when the batch path applies: a
@@ -112,60 +109,31 @@ func (e *Batched) Round(s Scheme, c *graph.Config, labels []core.Label, seed uin
 		return e.seq.Round(s, c, labels, seed)
 	}
 	e.runLanes(lane, mult, c, labels, seed, 1, true)
-	return e.votes, Stats{
-		Rounds:           1,
-		MaxLabelBits:     core.MaxBits(labels),
-		MaxCertBits:      e.maxCert[0],
-		MaxPortBits:      e.maxCert[0],
-		TotalWireBits:    e.wire[0],
-		Messages:         e.csr.Slots(),
-		DistinctMessages: e.distinct,
-	}
+	return e.votes, e.lanes[0]
 }
 
 // runBatch executes trials [lo, hi) at seeds seed+lo … seed+hi−1 and
-// writes outcome t to out[t-lo]. It is the estimator's batched inner loop:
-// coin-free schemes run once and replicate, lane-aware schemes run in
-// plane-budgeted lanes, and anything else iterates the sequential path.
+// writes outcome t to out[t-lo] when the batch path applies: coin-free
+// schemes run once and replicate, lane-aware schemes run in plane-budgeted
+// lanes. For any other scheme it runs nothing and reports false; the
+// estimator then iterates the embedded kernel trial by trial.
 //
 //pls:hotpath
-func (e *Batched) runBatch(s Scheme, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
+func (e *Batched) runBatch(s Scheme, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) bool {
 	if IsCoinFree(s) {
 		// Every trial of a coin-free scheme is the same execution.
 		obsBatchCoinFree.Inc()
 		votes, st := e.seq.Round(s, c, labels, seed+uint64(lo))
-		o := trialOutcome{
-			accepted:    AllTrue(votes),
-			rounds:      st.Rounds,
-			maxCertBits: st.MaxCertBits,
-			maxPortBits: st.MaxPortBits,
-			wireBits:    st.TotalWireBits,
-			messages:    st.Messages,
-			distinct:    st.DistinctMessages,
-		}
+		o := trialOutcome{accepted: AllTrue(votes), st: st}
 		for t := lo; t < hi; t++ {
 			out[t-lo] = o
 		}
-		return
+		return true
 	}
 	lane, mult, ok := laneScheme(s)
 	if !ok {
 		obsBatchFallback.Inc()
-		for t := lo; t < hi; t++ {
-			t0 := obsTrialSequential.Start()
-			votes, st := e.seq.Round(s, c, labels, seed+uint64(t))
-			obsTrialSequential.Stop(t0)
-			out[t-lo] = trialOutcome{
-				accepted:    AllTrue(votes),
-				rounds:      st.Rounds,
-				maxCertBits: st.MaxCertBits,
-				maxPortBits: st.MaxPortBits,
-				wireBits:    st.TotalWireBits,
-				messages:    st.Messages,
-				distinct:    st.DistinctMessages,
-			}
-		}
-		return
+		return false
 	}
 	maxW := laneWidth(2 * c.G.M())
 	if maxW < 64 {
@@ -182,20 +150,12 @@ func (e *Batched) runBatch(s Scheme, c *graph.Config, labels []core.Label, seed 
 		obsBatchNanos.Stop(t0)
 		obsBatches.Inc()
 		obsBatchLanes.Observe(int64(w))
-		slots := e.csr.Slots()
 		for l := 0; l < w; l++ {
-			out[t-lo+l] = trialOutcome{
-				accepted:    e.accept&(1<<uint(l)) != 0,
-				rounds:      1,
-				maxCertBits: e.maxCert[l],
-				maxPortBits: e.maxCert[l],
-				wireBits:    e.wire[l],
-				messages:    slots,
-				distinct:    e.distinct,
-			}
+			out[t-lo+l] = trialOutcome{accepted: e.accept&(1<<uint(l)) != 0, st: e.lanes[l]}
 		}
 		t += w
 	}
+	return true
 }
 
 // ensure sizes the plane, windows, and per-lane views for a batch of the
@@ -261,7 +221,7 @@ func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels
 		*e.roots[l] = *prng.New(firstSeed + uint64(l))
 	}
 
-	e.distinct = 0
+	distinct := int64(0)
 	for v := 0; v < n; v++ {
 		base, deg := e.csr.RowStart[v], e.csr.Degree(v)
 		for l := 0; l < width; l++ {
@@ -274,19 +234,20 @@ func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels
 				core.CapReplicate(e.planeTop[l], mult)
 			}
 		}
-		e.distinct += distinctCount(false, mult, deg)
+		distinct += distinctCount(false, mult, deg)
 	}
 
+	// Each lane's plane row is that trial's whole send side, metered
+	// message by message exactly as sendStats meters a sequential round.
+	// The structural distinct-message count is lane-invariant (it depends
+	// on degrees and the cap, not coins).
+	base := Stats{Rounds: 1, MaxLabelBits: core.MaxBits(labels), Messages: slots, DistinctMessages: distinct}
 	for l := 0; l < width; l++ {
-		wire, mx := int64(0), 0
+		st := base
 		for _, cert := range e.plane[l*slots : (l+1)*slots] {
-			b := cert.Len()
-			wire += int64(b)
-			if b > mx {
-				mx = b
-			}
+			st.meter(cert.Len(), 1)
 		}
-		e.wire[l], e.maxCert[l] = wire, mx
+		e.lanes[l] = st
 	}
 
 	accept := core.LaneMask(width)

@@ -8,27 +8,27 @@
 // coin-derived certificates (§2.2), a deterministic scheme sends its label
 // on every port (the degenerate certificate). Scheme captures exactly that
 // round; FromPLS and FromRPLS adapt the core model types onto it, so a
-// single round implementation serves both models and every executor.
+// single round implementation serves both models.
 //
-// Executors trade model fidelity for speed:
+// The engine has one round kernel and one wide mode of it:
 //
-//   - Sequential — allocation-amortized fast path; cert and receive buffers
-//     are reused across rounds (Monte-Carlo estimation, self-stabilization
-//     monitors, benchmarks).
-//   - Pool — a fixed worker pool sharding nodes across GOMAXPROCS workers,
-//     with no per-edge channels (large configurations).
-//   - Goroutines — the model-faithful goroutine-per-node execution with one
-//     channel per directed edge, kept for fidelity tests: a verifier
-//     physically cannot read anything but its own state, its own label, and
-//     what arrived on its ports.
-//   - Batched — the Monte-Carlo throughput path: a CSR adjacency snapshot
-//     plus per-port certificate bit-planes push up to 64 trials through one
-//     graph traversal, AND-reducing per-node vote masks (see batched.go for
-//     the lane contract). Estimate detects it and hands whole trial chunks
-//     to RunBatch; outside a batch it behaves exactly like Sequential.
+//   - Sequential — the round kernel: one Round runs t >= 1 lockstep rounds
+//     (the classic round is t = 1), meters every message through one
+//     function, and reuses its cert and receive buffers across rounds, so
+//     the deterministic single round allocates nothing (Monte-Carlo
+//     estimation, self-stabilization monitors, benchmarks).
+//   - Batched — the kernel's wide mode for Monte-Carlo throughput: a CSR
+//     adjacency snapshot plus per-port certificate bit-planes push up to 64
+//     trials of a lane-aware single-round scheme through one graph
+//     traversal, AND-reducing per-node vote masks (see batched.go for the
+//     lane contract). Estimate hands it whole trial chunks; every other
+//     scheme shape falls back to its embedded Sequential.
 //
-// All four executors produce identical votes and stats for the same seed;
-// the parity property test in this package enforces that.
+// NewExecutor resolves the executor names the CLIs and campaign specs use.
+// Both executors produce identical votes and stats for the same seed, and
+// equal to those of a goroutine-per-node reference execution kept in the
+// tests (one goroutine per node, one channel per directed edge, its own
+// metering): the parity property test in this package enforces that.
 //
 // Entry points: Run (label and verify once), Verify (verify under arbitrary,
 // possibly adversarial labels), Estimate (trial-parallel Monte-Carlo
@@ -38,7 +38,7 @@
 // (measure across instance sizes, sharded over workers), and MaxCertBits
 // (the Definition 2.1 verification complexity, tracked inside the trial
 // loop). Estimate shards trials seed..seed+T−1 across workers that each own
-// a cloned executor and merges outcomes by trial index, so every Summary is
+// a cloned executor (Executor.Clone) and merges outcomes by trial index, so every Summary is
 // bit-identical for any parallelism level and any executor. Schemes are
 // discovered by name through the Registry, which each internal/schemes
 // package populates from its init function.
@@ -48,7 +48,8 @@
 // Estimate folds the per-trial counters into Summary (TotalBits,
 // TotalMessages, MaxPortBits, AvgBitsPerEdge) under the same
 // bit-identical-under-parallelism guarantee as acceptance — the parity
-// property test requires bit-identical Stats from all four executors.
+// property test requires bit-identical Stats from both executors and the
+// goroutine-per-node reference.
 // This is the paper's primary axis of comparison: per-edge verification
 // cost Θ(λ) deterministic vs O(log λ) randomized.
 //
@@ -176,8 +177,8 @@ func AsRPLS(s Scheme) (core.RPLS, bool) {
 // largest string a node sends on any port. For deterministic schemes the
 // string sent is the label itself, so κ is the max label bits actually
 // transmitted, not zero. All counters are exact and executor-independent:
-// the parity property test requires bit-identical Stats from all four
-// executors for the same seed.
+// the parity property test requires bit-identical Stats from both
+// executors and the goroutine-per-node reference for the same seed.
 // A multi-round (t-PLS) scheme runs Rounds > 1 synchronous rounds: every
 // counter then covers all rounds of the execution — Messages is rounds × 2m
 // and TotalWireBits sums every round — while MaxCertBits and MaxPortBits

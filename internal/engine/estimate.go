@@ -39,16 +39,6 @@ const estimateFirstChunk = 8
 // wilsonZ is the two-sided 95% normal quantile used for Summary's interval.
 const wilsonZ = 1.959963984540054
 
-// Cloneable is implemented by executors that can produce fresh instances
-// with the same configuration but independent scratch buffers. The
-// trial-parallel estimator clones the caller's executor once per extra
-// worker; a non-cloneable executor degrades gracefully to the serial path.
-type Cloneable interface {
-	// Clone returns a new executor of the same kind and configuration whose
-	// scratch is independent of the receiver's.
-	Clone() Executor
-}
-
 // Summary aggregates a Monte-Carlo estimate over a batch of trials.
 // CILow and CIHigh bound the acceptance probability with the 95% Wilson
 // score interval, which stays informative at the boundary rates 0 and 1
@@ -126,17 +116,12 @@ func Estimate(s Scheme, c *graph.Config, opts ...Option) (Summary, error) {
 }
 
 // trialOutcome is the per-trial data the merge needs: the acceptance vote
-// and the trial's exact wire counters. Outcomes are stored by trial index,
-// so folding them in serial order yields the same Summary for any worker
+// and the trial's exact Stats. Outcomes are stored by trial index, so
+// folding them in serial order yields the same Summary for any worker
 // count.
 type trialOutcome struct {
-	accepted    bool
-	rounds      int
-	maxCertBits int
-	maxPortBits int
-	wireBits    int64
-	messages    int
-	distinct    int64
+	accepted bool
+	st       Stats
 }
 
 // estimateLabels is the estimator core shared by Estimate, Soundness,
@@ -173,23 +158,17 @@ scan:
 		// Fold outcomes in serial trial order; the stopping rule sees
 		// exactly the prefix a serial run would have seen.
 		for t := lo; t < hi; t++ {
-			res := out[t-lo]
+			res := &out[t-lo]
 			done++
 			if res.accepted {
 				accepted++
 			}
-			if res.rounds > rounds {
-				rounds = res.rounds
-			}
-			if res.maxCertBits > certMax {
-				certMax = res.maxCertBits
-			}
-			if res.maxPortBits > portMax {
-				portMax = res.maxPortBits
-			}
-			totalBits += res.wireBits
-			totalMsgs += int64(res.messages)
-			totalDistinct += res.distinct
+			rounds = max(rounds, res.st.Rounds)
+			certMax = max(certMax, res.st.MaxCertBits)
+			portMax = max(portMax, res.st.MaxPortBits)
+			totalBits += res.st.TotalWireBits
+			totalMsgs += int64(res.st.Messages)
+			totalDistinct += res.st.DistinctMessages
 			if o.stopOnReject && !res.accepted {
 				obsStopReject.Inc()
 				break scan
@@ -222,22 +201,12 @@ scan:
 }
 
 // shardExecutors resolves the worker executors: the caller's executor
-// first, then one clone per extra worker. A non-cloneable executor cannot
-// be sharded safely, so it runs the whole estimate alone.
+// first, then one clone per extra worker.
 func (o *options) shardExecutors() []Executor {
-	base := o.executor()
-	p := o.workers()
-	if p <= 1 {
-		return []Executor{base}
-	}
-	cl, ok := base.(Cloneable)
-	if !ok {
-		return []Executor{base}
-	}
-	execs := make([]Executor, p)
-	execs[0] = base
-	for i := 1; i < p; i++ {
-		execs[i] = cl.Clone()
+	execs := make([]Executor, o.workers())
+	execs[0] = o.executor()
+	for i := 1; i < len(execs); i++ {
+		execs[i] = execs[0].Clone()
 	}
 	return execs
 }
@@ -277,26 +246,21 @@ func runTrials(execs []Executor, s Scheme, c *graph.Config, labels []core.Label,
 //pls:hotpath
 func oneWorker(exec Executor, s Scheme, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
 	if b, ok := exec.(*Batched); ok {
-		// The batched executor consumes the whole range at once: chunks of
-		// up to 64 trials share one graph traversal. Outcomes are written
-		// per trial index, so the Summary is unchanged.
-		b.runBatch(s, c, labels, seed, lo, hi, out)
-		return
+		// The batched executor consumes the whole range at once when the
+		// batch path applies: chunks of up to 64 trials share one graph
+		// traversal. Outcomes are written per trial index, so the Summary is
+		// unchanged. Otherwise its embedded kernel runs the trials below.
+		if b.runBatch(s, c, labels, seed, lo, hi, out) {
+			return
+		}
+		exec = &b.seq
 	}
 	h := trialHistogram(exec)
 	for t := lo; t < hi; t++ {
 		t0 := h.Start()
 		votes, st := exec.Round(s, c, labels, seed+uint64(t))
 		h.Stop(t0)
-		out[t-lo] = trialOutcome{
-			accepted:    AllTrue(votes),
-			rounds:      st.Rounds,
-			maxCertBits: st.MaxCertBits,
-			maxPortBits: st.MaxPortBits,
-			wireBits:    st.TotalWireBits,
-			messages:    st.Messages,
-			distinct:    st.DistinctMessages,
-		}
+		out[t-lo] = trialOutcome{accepted: AllTrue(votes), st: st}
 	}
 }
 

@@ -81,9 +81,8 @@ func TestEstimateParallelDeterminism(t *testing.T) {
 			var ref engine.Summary
 			first := true
 			for _, mkExec := range []func() engine.Executor{
+				newOracle,
 				func() engine.Executor { return engine.NewSequential() },
-				func() engine.Executor { return engine.NewPool(0) },
-				func() engine.Executor { return engine.NewGoroutines() },
 				func() engine.Executor { return engine.NewBatched() },
 			} {
 				for _, p := range []int{1, 4, 16} {
@@ -220,33 +219,6 @@ func TestMaxCertBitsMatchesEstimate(t *testing.T) {
 	// Deterministic schemes report the max label bits they transmit.
 	if db := engine.MaxCertBits(engine.FromPLS(spanningtree.NewPLS()), cfg, labels, 5, 31); db != core.MaxBits(labels) {
 		t.Fatalf("deterministic MaxCertBits = %d, want max label bits %d", db, core.MaxBits(labels))
-	}
-}
-
-// nonCloneableExec wraps Sequential but hides the Clone method: the
-// estimator must degrade to the serial path rather than share scratch.
-type nonCloneableExec struct{ inner *engine.Sequential }
-
-func (e nonCloneableExec) Name() string { return "noclone" }
-func (e nonCloneableExec) Round(s engine.Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, engine.Stats) {
-	return e.inner.Round(s, c, labels, seed)
-}
-
-func TestEstimateNonCloneableExecutorFallsBackToSerial(t *testing.T) {
-	s, bad, labels := corruptedUniform(t, 20, 13)
-	ref, err := engine.Estimate(s, bad, engine.WithLabels(labels),
-		engine.WithTrials(100), engine.WithSeed(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engine.Estimate(s, bad, engine.WithLabels(labels),
-		engine.WithTrials(100), engine.WithSeed(8), engine.WithParallelism(8),
-		engine.WithExecutor(nonCloneableExec{inner: engine.NewSequential()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != ref {
-		t.Fatalf("non-cloneable fallback diverged: %+v vs %+v", got, ref)
 	}
 }
 

@@ -1,8 +1,7 @@
 package engine
 
 import (
-	goruntime "runtime"
-	"sync"
+	"strings"
 
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
@@ -10,16 +9,59 @@ import (
 	"rpls/internal/prng"
 )
 
-// Executor runs one synchronous verification round: every node sends one
-// string per incident port, receives one string per port, and outputs a
-// boolean. Implementations may keep scratch buffers between rounds, so a
-// single Executor value must not be shared between concurrent callers.
+// Executor runs one verification of a scheme: in each of the scheme's
+// t >= 1 synchronous rounds every node sends one string per incident port
+// and receives one string per port, and after the last round every node
+// outputs a boolean. Implementations may keep scratch buffers between
+// calls, so a single Executor value must not be shared between concurrent
+// callers; Clone hands each extra worker its own.
 type Executor interface {
 	// Name identifies the executor in reports and benchmarks.
 	Name() string
-	// Round executes the round. The returned votes slice is scratch owned by
-	// the executor, valid only until the next Round call.
+	// Round executes the verification. The returned votes slice is scratch
+	// owned by the executor, valid only until the next Round call.
 	Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats)
+	// Clone returns a new executor of the same kind and configuration whose
+	// scratch is independent of the receiver's. The trial-parallel
+	// estimator and Sweep clone the caller's executor once per extra worker.
+	Clone() Executor
+}
+
+// executorTable is the one name → constructor table: NewExecutor,
+// ExecutorNames, the campaign spec validator, and the CLIs' -exec flags all
+// resolve executor names through it.
+var executorTable = []struct {
+	name string
+	mk   func() Executor
+}{
+	{"sequential", func() Executor { return NewSequential() }},
+	{"batched", func() Executor { return NewBatched() }},
+}
+
+// ExecutorNames lists the executor names NewExecutor accepts, in table
+// order (aliases excluded).
+func ExecutorNames() []string {
+	names := make([]string, len(executorTable))
+	for i, e := range executorTable {
+		names[i] = e.name
+	}
+	return names
+}
+
+// NewExecutor returns a fresh executor by name; "seq" is an alias of
+// "sequential". Any other name — including the retired "pool" and
+// "goroutines" — is rejected with an *OptionError naming WithExecutor
+// rather than re-mapped, because campaign cell IDs encode the executor.
+func NewExecutor(name string) (Executor, error) {
+	if name == "seq" {
+		name = "sequential"
+	}
+	for _, e := range executorTable {
+		if e.name == name {
+			return e.mk(), nil
+		}
+	}
+	return nil, optionErr("WithExecutor", "unknown executor %q (%s)", name, strings.Join(ExecutorNames(), ", "))
 }
 
 // scratch holds the buffers an executor reuses across rounds: one receive
@@ -94,9 +136,28 @@ func (sc *scratch) gather(det bool, c *graph.Config, labels []core.Label, v int)
 	return recv
 }
 
-// sendStats accumulates the cost of everything node v puts on the wire.
-// It only bumps scalar counters on the caller's Stats. mult is the
-// scheme's multiplicity cap (0 = unconstrained); the structural
+// meter accounts k copies of one b-bit message leaving a node: the wire
+// total grows by k·b and, when anything is sent, b competes for κ
+// (MaxCertBits) and the port maximum. It is the single definition of both
+// quantities, shared by sendStats and the batched lanes.
+//
+//pls:hotpath
+func (st *Stats) meter(b, k int) {
+	if k == 0 {
+		return
+	}
+	st.TotalWireBits += int64(k * b)
+	if b > st.MaxCertBits {
+		st.MaxCertBits = b
+	}
+	if b > st.MaxPortBits {
+		st.MaxPortBits = b
+	}
+}
+
+// sendStats accumulates the cost of everything node v puts on the wire in
+// one round. It only bumps scalar counters on the caller's Stats. mult is
+// the scheme's multiplicity cap (0 = unconstrained); the structural
 // distinct-message count is derived from it, never from payload bytes.
 //
 //pls:hotpath
@@ -107,36 +168,21 @@ func sendStats(det bool, mult int, c *graph.Config, labels []core.Label, certs [
 	if det {
 		// The message on every port is the node's label: κ (Definition 2.1)
 		// is the largest label actually transmitted, not zero.
-		b := labels[v].Len()
-		st.TotalWireBits += int64(deg * b)
-		if deg > 0 {
-			if b > st.MaxCertBits {
-				st.MaxCertBits = b
-			}
-			if b > st.MaxPortBits {
-				st.MaxPortBits = b
-			}
-		}
+		st.meter(labels[v].Len(), deg)
 		return
 	}
 	if len(certs) > deg {
 		certs = certs[:deg]
 	}
 	for _, cert := range certs {
-		b := cert.Len()
-		st.TotalWireBits += int64(b)
-		if b > st.MaxCertBits {
-			st.MaxCertBits = b
-		}
-		if b > st.MaxPortBits {
-			st.MaxPortBits = b
-		}
+		st.meter(cert.Len(), 1)
 	}
 }
 
-// Sequential is the allocation-amortized fast path: one goroutine, buffers
-// reused across rounds. It backs Monte-Carlo estimation, monitors, and
-// benchmarks.
+// Sequential is the engine's round kernel: one goroutine, buffers reused
+// across rounds. It runs every scheme shape — deterministic or randomized,
+// capped or not, one round or t — and backs Monte-Carlo estimation,
+// monitors, benchmarks, and every path Batched does not widen into lanes.
 type Sequential struct{ sc scratch }
 
 // NewSequential returns a sequential executor with empty scratch.
@@ -145,66 +191,71 @@ func NewSequential() *Sequential { return &Sequential{} }
 // Name implements Executor.
 func (e *Sequential) Name() string { return "sequential" }
 
-// Clone implements Cloneable: a fresh sequential executor with empty scratch.
+// Clone implements Executor: a fresh sequential executor with empty scratch.
 func (e *Sequential) Clone() Executor { return NewSequential() }
 
-// Round implements Executor. This is the Sequential det hot path: the
+// Round implements Executor as the t-round lockstep, the classic round of
+// §2.1 being t = 1. Per round, every node derives its strings — its label
+// on every port for a deterministic single-round scheme, otherwise
+// certificates from the coin stream prng.New(seed).Fork(v), identical in
+// every round of one call — and sendStats meters them at the sender.
+// A t = 1 round gathers each receiver's window straight from the senders'
+// port slots and decides; a t > 1 round appends each port's string to its
+// directed edge's shard list (allocated per call), and after the last
+// round every node decides from the per-port concatenations in round
+// order. The deterministic t = 1 round is the zero-alloc hot path: the
 // plsvet hotalloc analyzer rejects allocating constructs in every
-// //pls:hotpath function at the AST level, and the benchgate allocation
-// band locks the measured zero-alloc steady state in CI — together they
-// replace the old ad-hoc "stays 0-alloc" assertion comments.
+// //pls:hotpath function at the AST level, TestSequentialRoundAllocs
+// asserts the warm round allocates nothing, and the benchgate allocation
+// band locks the measured steady state in CI.
 //
 //pls:hotpath
 func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
-	if t := Rounds(s); t > 1 {
-		return e.multiRound(s.(MultiRound), t, c, labels, seed)
-	}
 	n := c.G.N()
 	e.sc.ensure(c.G)
-	st := Stats{Rounds: 1, MaxLabelBits: core.MaxBits(labels)}
-	det, mult := s.Deterministic(), Multiplicity(s)
+	t := Rounds(s)
+	st := Stats{Rounds: t, MaxLabelBits: core.MaxBits(labels)}
+	// A t-round scheme always sends RoundCerts strings (a sharded
+	// deterministic label travels as shards), so only the classic round
+	// broadcasts labels.
+	det, mult := t == 1 && s.Deterministic(), Multiplicity(s)
+	var mr MultiRound
+	var shards shardAcc
+	if t > 1 {
+		mr = s.(MultiRound)
+		shards = newShardAcc(e.sc.offs[n], t)
+	}
+	var root *prng.Rand
 	if !det {
-		root := prng.New(seed)
+		root = prng.New(seed)
+	}
+	for r := 0; r < t; r++ {
+		if !det {
+			for v := 0; v < n; v++ {
+				if mr != nil {
+					e.sc.certs[v] = mr.RoundCerts(r, core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
+				} else {
+					e.sc.certs[v] = s.Certs(core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
+				}
+			}
+		}
 		for v := 0; v < n; v++ {
-			e.sc.certs[v] = s.Certs(core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
+			sendStats(det, mult, c, labels, e.sc.certs[v], v, &st)
+		}
+		if mr != nil {
+			for v := 0; v < n; v++ {
+				shards.gather(&e.sc, c, v)
+			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		sendStats(det, mult, c, labels, e.sc.certs[v], v, &st)
-	}
-	for v := 0; v < n; v++ {
-		recv := e.sc.gather(det, c, labels, v)
+		var recv []core.Cert
+		if mr != nil {
+			recv = shards.reassemble(&e.sc, v)
+		} else {
+			recv = e.sc.gather(det, c, labels, v)
+		}
 		e.sc.votes[v] = s.Decide(core.ViewOf(c, v), labels[v], recv)
-	}
-	return e.sc.votes, st
-}
-
-// multiRound runs the t-round lockstep: per round, every node derives its
-// round strings (from a per-round identical coin stream), the metered
-// messages land in the receivers' windows, and each received string is
-// appended to its directed edge's shard list; after the last round every
-// node decides from the per-port concatenations. The shard lists are
-// allocated per call — the zero-alloc guarantee covers only the classic
-// single-round deterministic path.
-func (e *Sequential) multiRound(mr MultiRound, rounds int, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
-	n := c.G.N()
-	e.sc.ensure(c.G)
-	st := Stats{Rounds: rounds, MaxLabelBits: core.MaxBits(labels)}
-	mult := Multiplicity(mr)
-	shards := newShardAcc(e.sc.offs[n], rounds)
-	root := prng.New(seed)
-	for r := 0; r < rounds; r++ {
-		for v := 0; v < n; v++ {
-			e.sc.certs[v] = mr.RoundCerts(r, core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
-		}
-		for v := 0; v < n; v++ {
-			sendStats(false, mult, c, labels, e.sc.certs[v], v, &st)
-			shards.gather(&e.sc, c, v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		recv := shards.reassemble(&e.sc, v)
-		e.sc.votes[v] = mr.Decide(core.ViewOf(c, v), labels[v], recv)
 	}
 	return e.sc.votes, st
 }
@@ -222,8 +273,7 @@ func newShardAcc(edges, rounds int) shardAcc {
 }
 
 // gather appends the current round's messages arriving at node v (read
-// from the senders' cert slices) to v's windows. Distinct receivers own
-// disjoint windows, so concurrent gathers for distinct v are race-free.
+// from the senders' cert slices) to v's windows.
 func (acc shardAcc) gather(sc *scratch, c *graph.Config, v int) {
 	recv := sc.gather(false, c, nil, v)
 	base := sc.offs[v]
@@ -241,338 +291,4 @@ func (acc shardAcc) reassemble(sc *scratch, v int) []core.Cert {
 		recv[i] = bitstring.Concat(acc[base+i]...)
 	}
 	return recv
-}
-
-// Pool shards nodes across a fixed set of workers with no per-edge
-// channels: a cert-generation phase, a barrier, and a decide phase. Votes
-// and stats are identical to the other executors for the same seed because
-// node v's coins are always prng.New(seed).Fork(v).
-type Pool struct {
-	workers int
-	sc      scratch
-	parts   []Stats // per-shard partial stats, merged after the decide phase
-}
-
-// NewPool returns a pool executor with the given worker count;
-// workers <= 0 selects GOMAXPROCS.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers}
-}
-
-// Name implements Executor.
-func (e *Pool) Name() string { return "pool" }
-
-// Clone implements Cloneable: same worker count, independent scratch.
-func (e *Pool) Clone() Executor { return &Pool{workers: e.workers} }
-
-// shardWorkers clamps the worker count to the node count and sizes the
-// per-shard partial stats.
-func (e *Pool) shardWorkers(n int) int {
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	if cap(e.parts) < w {
-		e.parts = make([]Stats, w)
-	}
-	e.parts = e.parts[:w]
-	return w
-}
-
-// mergeParts folds the per-shard partial stats into a final Stats.
-func (e *Pool) mergeParts(st Stats) Stats {
-	for _, p := range e.parts {
-		st.Messages += p.Messages
-		st.DistinctMessages += p.DistinctMessages
-		st.TotalWireBits += p.TotalWireBits
-		if p.MaxCertBits > st.MaxCertBits {
-			st.MaxCertBits = p.MaxCertBits
-		}
-		if p.MaxPortBits > st.MaxPortBits {
-			st.MaxPortBits = p.MaxPortBits
-		}
-	}
-	return st
-}
-
-// Round implements Executor.
-func (e *Pool) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
-	if t := Rounds(s); t > 1 {
-		return e.multiRound(s.(MultiRound), t, c, labels, seed)
-	}
-	n := c.G.N()
-	e.sc.ensure(c.G)
-	w := e.shardWorkers(n)
-	det, mult := s.Deterministic(), Multiplicity(s)
-
-	var wg sync.WaitGroup
-	if !det {
-		wg.Add(w)
-		for shard := 0; shard < w; shard++ {
-			go func(shard int) {
-				defer wg.Done()
-				root := prng.New(seed)
-				for v := shard * n / w; v < (shard+1)*n/w; v++ {
-					e.sc.certs[v] = s.Certs(core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
-				}
-			}(shard)
-		}
-		wg.Wait() // barrier: deciding needs every node's certificates
-	}
-
-	wg.Add(w)
-	for shard := 0; shard < w; shard++ {
-		go func(shard int) {
-			defer wg.Done()
-			st := Stats{}
-			for v := shard * n / w; v < (shard+1)*n/w; v++ {
-				sendStats(det, mult, c, labels, e.sc.certs[v], v, &st)
-				recv := e.sc.gather(det, c, labels, v)
-				e.sc.votes[v] = s.Decide(core.ViewOf(c, v), labels[v], recv)
-			}
-			e.parts[shard] = st
-		}(shard)
-	}
-	wg.Wait()
-
-	return e.sc.votes, e.mergeParts(Stats{Rounds: 1, MaxLabelBits: core.MaxBits(labels)})
-}
-
-// multiRound runs the t-round lockstep with the pool's phase structure,
-// once per round: a cert-generation phase, a barrier (gathering needs every
-// sender's strings), then a metering + gather phase sharded by receiver
-// (windows partition the directed edges, so shard appends are race-free).
-// A final parallel phase reassembles and decides.
-func (e *Pool) multiRound(mr MultiRound, rounds int, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
-	n := c.G.N()
-	e.sc.ensure(c.G)
-	w := e.shardWorkers(n)
-	mult := Multiplicity(mr)
-	for i := range e.parts {
-		e.parts[i] = Stats{}
-	}
-	shards := newShardAcc(e.sc.offs[n], rounds)
-
-	var wg sync.WaitGroup
-	for r := 0; r < rounds; r++ {
-		wg.Add(w)
-		for shard := 0; shard < w; shard++ {
-			go func(shard, r int) {
-				defer wg.Done()
-				root := prng.New(seed)
-				for v := shard * n / w; v < (shard+1)*n/w; v++ {
-					e.sc.certs[v] = mr.RoundCerts(r, core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
-				}
-			}(shard, r)
-		}
-		wg.Wait() // barrier: gathering needs every node's round strings
-
-		wg.Add(w)
-		for shard := 0; shard < w; shard++ {
-			go func(shard int) {
-				defer wg.Done()
-				st := &e.parts[shard]
-				for v := shard * n / w; v < (shard+1)*n/w; v++ {
-					sendStats(false, mult, c, labels, e.sc.certs[v], v, st)
-					shards.gather(&e.sc, c, v)
-				}
-			}(shard)
-		}
-		wg.Wait() // barrier: the next round overwrites the cert slices
-	}
-
-	wg.Add(w)
-	for shard := 0; shard < w; shard++ {
-		go func(shard int) {
-			defer wg.Done()
-			for v := shard * n / w; v < (shard+1)*n/w; v++ {
-				recv := shards.reassemble(&e.sc, v)
-				e.sc.votes[v] = mr.Decide(core.ViewOf(c, v), labels[v], recv)
-			}
-		}(shard)
-	}
-	wg.Wait()
-
-	return e.sc.votes, e.mergeParts(Stats{Rounds: rounds, MaxLabelBits: core.MaxBits(labels)})
-}
-
-// Goroutines is the model-faithful execution of §2.1: each node runs as its
-// own goroutine and messages travel over one buffered channel per directed
-// edge, so a verifier physically cannot read anything but its own state,
-// its own label, and what arrived on its ports. Kept for fidelity tests;
-// Sequential and Pool are the fast paths.
-type Goroutines struct {
-	sc       scratch
-	certMax  []int
-	wireSent []int64
-}
-
-// NewGoroutines returns the goroutine-per-node executor.
-func NewGoroutines() *Goroutines { return &Goroutines{} }
-
-// Name implements Executor.
-func (e *Goroutines) Name() string { return "goroutines" }
-
-// Clone implements Cloneable: a fresh goroutine-per-node executor.
-func (e *Goroutines) Clone() Executor { return NewGoroutines() }
-
-// ensureCounters sizes the per-node send counters.
-func (e *Goroutines) ensureCounters(n int) {
-	if cap(e.certMax) < n {
-		e.certMax = make([]int, n)
-		e.wireSent = make([]int64, n)
-	}
-	e.certMax = e.certMax[:n]
-	e.wireSent = e.wireSent[:n]
-}
-
-// Round implements Executor.
-func (e *Goroutines) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
-	if t := Rounds(s); t > 1 {
-		return e.multiRound(s.(MultiRound), t, c, labels, seed)
-	}
-	n := c.G.N()
-	e.sc.ensure(c.G)
-	e.ensureCounters(n)
-	in := buildChannels(c.G)
-	det := s.Deterministic()
-	root := prng.New(seed)
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for v := 0; v < n; v++ {
-		go func(v int) {
-			defer wg.Done()
-			view := core.ViewOf(c, v)
-			var certs []core.Cert
-			if !det {
-				certs = s.Certs(view, labels[v], root.Fork(uint64(v)))
-			}
-			maxCert, wire := 0, int64(0)
-			for i, h := range c.G.AdjView(v) {
-				var msg core.Cert
-				if det {
-					msg = labels[v]
-				} else if i < len(certs) {
-					msg = certs[i]
-				}
-				if b := msg.Len(); b > maxCert {
-					maxCert = b
-				}
-				wire += int64(msg.Len())
-				in[h.To][h.RevPort-1] <- msg
-			}
-			e.certMax[v], e.wireSent[v] = maxCert, wire
-			recv := e.sc.window(v)
-			for i := range recv {
-				recv[i] = <-in[v][i]
-			}
-			e.sc.votes[v] = s.Decide(view, labels[v], recv)
-		}(v)
-	}
-	wg.Wait()
-
-	st := Stats{Rounds: 1, MaxLabelBits: core.MaxBits(labels)}
-	mult := Multiplicity(s)
-	for v := 0; v < n; v++ {
-		st.Messages += c.G.Degree(v)
-		st.DistinctMessages += distinctCount(det, mult, c.G.Degree(v))
-		st.TotalWireBits += e.wireSent[v]
-		// certMax[v] is the largest message v sent — the label for
-		// deterministic schemes — so it feeds κ and the port maximum alike.
-		if e.certMax[v] > st.MaxCertBits {
-			st.MaxCertBits = e.certMax[v]
-		}
-		if e.certMax[v] > st.MaxPortBits {
-			st.MaxPortBits = e.certMax[v]
-		}
-	}
-	return e.sc.votes, st
-}
-
-// multiRound keeps the model-faithful shape over t rounds: every node runs
-// as its own goroutine, alternating a send-all phase and a receive-all
-// phase per round over the same one-channel-per-directed-edge fabric. The
-// capacity-1 buffers cannot deadlock: the node at the minimum round has
-// already had all its inputs sent and all its output channels drained (any
-// neighbor past that round consumed them), so it always progresses.
-func (e *Goroutines) multiRound(mr MultiRound, rounds int, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
-	n := c.G.N()
-	e.sc.ensure(c.G)
-	e.ensureCounters(n)
-	in := buildChannels(c.G)
-	root := prng.New(seed)
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for v := 0; v < n; v++ {
-		go func(v int) {
-			defer wg.Done()
-			view := core.ViewOf(c, v)
-			acc := make([][]core.Cert, view.Deg)
-			for i := range acc {
-				acc[i] = make([]core.Cert, 0, rounds)
-			}
-			maxCert, wire := 0, int64(0)
-			for r := 0; r < rounds; r++ {
-				// The same coin stream every round: shards of one draw.
-				certs := mr.RoundCerts(r, view, labels[v], root.Fork(uint64(v)))
-				for i, h := range c.G.AdjView(v) {
-					var msg core.Cert
-					if i < len(certs) {
-						msg = certs[i]
-					}
-					if b := msg.Len(); b > maxCert {
-						maxCert = b
-					}
-					wire += int64(msg.Len())
-					in[h.To][h.RevPort-1] <- msg
-				}
-				for i := range acc {
-					acc[i] = append(acc[i], <-in[v][i])
-				}
-			}
-			recv := e.sc.window(v)
-			for i := range recv {
-				recv[i] = bitstring.Concat(acc[i]...)
-			}
-			e.certMax[v], e.wireSent[v] = maxCert, wire
-			e.sc.votes[v] = mr.Decide(view, labels[v], recv)
-		}(v)
-	}
-	wg.Wait()
-
-	st := Stats{Rounds: rounds, MaxLabelBits: core.MaxBits(labels)}
-	mult := Multiplicity(mr)
-	for v := 0; v < n; v++ {
-		st.Messages += rounds * c.G.Degree(v)
-		st.DistinctMessages += int64(rounds) * distinctCount(false, mult, c.G.Degree(v))
-		st.TotalWireBits += e.wireSent[v]
-		if e.certMax[v] > st.MaxCertBits {
-			st.MaxCertBits = e.certMax[v]
-		}
-		if e.certMax[v] > st.MaxPortBits {
-			st.MaxPortBits = e.certMax[v]
-		}
-	}
-	return e.sc.votes, st
-}
-
-// buildChannels wires one buffered channel per directed edge;
-// in[v][p-1] carries messages arriving at v on port p.
-func buildChannels(g *graph.Graph) [][]chan bitstring.String {
-	in := make([][]chan bitstring.String, g.N())
-	for v := range in {
-		in[v] = make([]chan bitstring.String, g.Degree(v))
-		for i := range in[v] {
-			in[v][i] = make(chan bitstring.String, 1)
-		}
-	}
-	return in
 }

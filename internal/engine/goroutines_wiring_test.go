@@ -11,9 +11,10 @@ import (
 	"rpls/internal/schemes/uniform"
 )
 
-// Port-exactness tests for the goroutine-per-node executor: each node runs
-// concurrently and messages travel per directed edge, so a scheme that
-// plants its expected neighbor IDs by port catches any wiring slip.
+// Port-exactness tests, run on the goroutine-per-node oracle and on every
+// engine executor (the round kernel's gather and Batched's CSR RevEdge
+// gather): a scheme that plants its expected neighbor IDs by port catches
+// any wiring slip.
 
 // echoPLS checks that the runtime delivers exactly the right label on
 // exactly the right port: the label of v is its 64-bit ID, and the expected
@@ -91,6 +92,25 @@ func (echoRPLS) Decide(view core.View, _ core.Label, received []core.Cert) bool 
 	return true
 }
 
+// CertsLanes and DecideLanes make echoRPLS lane-aware, so Batched runs it
+// through its certificate plane and RevEdge gather rather than falling
+// back to the kernel.
+func (e echoRPLS) CertsLanes(view core.View, own core.Label, rngs []*prng.Rand, out [][]core.Cert) {
+	for l := range out {
+		copy(out[l], e.Certs(view, own, rngs[l]))
+	}
+}
+
+func (e echoRPLS) DecideLanes(view core.View, own core.Label, recv [][]core.Cert) uint64 {
+	var mask uint64
+	for l, r := range recv {
+		if e.Decide(view, own, r) {
+			mask |= 1 << uint(l)
+		}
+	}
+	return mask
+}
+
 // wiredConfig plants each node's neighbor IDs into its Weights by port, so
 // the echo schemes can verify exact port-level delivery.
 func wiredConfig(g *graph.Graph, rng *prng.Rand) *graph.Config {
@@ -106,92 +126,108 @@ func wiredConfig(g *graph.Graph, rng *prng.Rand) *graph.Config {
 	return c
 }
 
-func goroutineOpts(extra ...engine.Option) []engine.Option {
-	return append([]engine.Option{
-		engine.WithExecutor(engine.NewGoroutines()), engine.WithStats(true)}, extra...)
+// onEveryExecutor runs check as one subtest per executor — the oracle, the
+// round kernel, and Batched — with options selecting that executor and
+// requesting the per-node votes.
+func onEveryExecutor(t *testing.T, check func(t *testing.T, opts func(extra ...engine.Option) []engine.Option)) {
+	for _, ex := range executors() {
+		t.Run(ex.Name(), func(t *testing.T) {
+			check(t, func(extra ...engine.Option) []engine.Option {
+				return append([]engine.Option{engine.WithExecutor(ex), engine.WithStats(true)}, extra...)
+			})
+		})
+	}
 }
 
 func TestGoroutinesDeliverLabelsOnCorrectPorts(t *testing.T) {
-	rng := prng.New(1)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
-		g := graph.RandomConnected(n, rng.Intn(2*n), rng)
-		c := wiredConfig(g, rng)
-		res, err := engine.Run(engine.FromPLS(echoPLS{}), c, goroutineOpts()...)
-		if err != nil {
-			t.Fatal(err)
+	onEveryExecutor(t, func(t *testing.T, opts func(...engine.Option) []engine.Option) {
+		rng := prng.New(1)
+		for trial := 0; trial < 20; trial++ {
+			n := 2 + rng.Intn(30)
+			g := graph.RandomConnected(n, rng.Intn(2*n), rng)
+			c := wiredConfig(g, rng)
+			res, err := engine.Run(engine.FromPLS(echoPLS{}), c, opts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Accepted {
+				t.Fatalf("trial %d (n=%d): port wiring broken, votes = %v", trial, n, res.Votes)
+			}
 		}
-		if !res.Accepted {
-			t.Fatalf("trial %d (n=%d): port wiring broken, votes = %v", trial, n, res.Votes)
-		}
-	}
+	})
 }
 
 func TestGoroutinesDeliverCertsOnCorrectPorts(t *testing.T) {
-	rng := prng.New(2)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
-		g := graph.RandomConnected(n, rng.Intn(2*n), rng)
-		c := wiredConfig(g, rng)
-		res, err := engine.Run(engine.FromRPLS(echoRPLS{}), c,
-			goroutineOpts(engine.WithSeed(uint64(trial)))...)
-		if err != nil {
-			t.Fatal(err)
+	onEveryExecutor(t, func(t *testing.T, opts func(...engine.Option) []engine.Option) {
+		rng := prng.New(2)
+		for trial := 0; trial < 20; trial++ {
+			n := 2 + rng.Intn(30)
+			g := graph.RandomConnected(n, rng.Intn(2*n), rng)
+			c := wiredConfig(g, rng)
+			res, err := engine.Run(engine.FromRPLS(echoRPLS{}), c,
+				opts(engine.WithSeed(uint64(trial)))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Accepted {
+				t.Fatalf("trial %d (n=%d): certificate wiring broken", trial, n)
+			}
 		}
-		if !res.Accepted {
-			t.Fatalf("trial %d (n=%d): certificate wiring broken", trial, n)
-		}
-	}
+	})
 }
 
 func TestGoroutinesStatsCountMessagesAndBits(t *testing.T) {
-	g := graph.Path(4) // 3 edges
-	c := wiredConfig(g, prng.New(3))
-	res, err := engine.Run(engine.FromPLS(echoPLS{}), c, goroutineOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Messages != 6 { // 2m directed messages
-		t.Errorf("Messages = %d, want 6", res.Stats.Messages)
-	}
-	if res.Stats.MaxLabelBits != 64 {
-		t.Errorf("MaxLabelBits = %d, want 64", res.Stats.MaxLabelBits)
-	}
-	if res.Stats.TotalWireBits != 6*64 {
-		t.Errorf("TotalWireBits = %d, want %d", res.Stats.TotalWireBits, 6*64)
-	}
+	onEveryExecutor(t, func(t *testing.T, opts func(...engine.Option) []engine.Option) {
+		g := graph.Path(4) // 3 edges
+		c := wiredConfig(g, prng.New(3))
+		res, err := engine.Run(engine.FromPLS(echoPLS{}), c, opts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Messages != 6 { // 2m directed messages
+			t.Errorf("Messages = %d, want 6", res.Stats.Messages)
+		}
+		if res.Stats.MaxLabelBits != 64 {
+			t.Errorf("MaxLabelBits = %d, want 64", res.Stats.MaxLabelBits)
+		}
+		if res.Stats.TotalWireBits != 6*64 {
+			t.Errorf("TotalWireBits = %d, want %d", res.Stats.TotalWireBits, 6*64)
+		}
 
-	rres, err := engine.Run(engine.FromRPLS(echoRPLS{}), c, goroutineOpts(engine.WithSeed(0))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rres.Stats.MaxCertBits != 64 {
-		t.Errorf("MaxCertBits = %d, want 64", rres.Stats.MaxCertBits)
-	}
-	if rres.Stats.Messages != 6 {
-		t.Errorf("Messages = %d, want 6", rres.Stats.Messages)
-	}
+		rres, err := engine.Run(engine.FromRPLS(echoRPLS{}), c, opts(engine.WithSeed(0))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rres.Stats.MaxCertBits != 64 {
+			t.Errorf("MaxCertBits = %d, want 64", rres.Stats.MaxCertBits)
+		}
+		if rres.Stats.Messages != 6 {
+			t.Errorf("Messages = %d, want 6", rres.Stats.Messages)
+		}
+	})
 }
 
 func TestGoroutinesMatchSequentialEstimate(t *testing.T) {
-	// Acceptance (sequential path) and the goroutine executor must agree
-	// for identical seeds.
-	rng := prng.New(5)
-	g := graph.RandomConnected(12, 6, rng)
-	c := graph.NewConfig(g)
-	for v := range c.States {
-		c.States[v].Data = []byte("u")
-	}
-	c.States[7].Data = []byte("v") // illegal: outcomes now depend on coins
-	s := engine.FromRPLS(uniform.NewRPLS())
-	labels := make([]core.Label, 12)
-	for seed := uint64(0); seed < 50; seed++ {
-		concurrent := engine.Verify(s, c, labels, goroutineOpts(engine.WithSeed(seed))...).Accepted
-		sequential := engine.Acceptance(s, c, labels, 1, seed) == 1.0
-		if concurrent != sequential {
-			t.Fatalf("seed %d: concurrent=%v sequential=%v", seed, concurrent, sequential)
+	// Acceptance (the estimator on its default kernel) and a single round
+	// on each executor must agree for identical seeds.
+	onEveryExecutor(t, func(t *testing.T, opts func(...engine.Option) []engine.Option) {
+		rng := prng.New(5)
+		g := graph.RandomConnected(12, 6, rng)
+		c := graph.NewConfig(g)
+		for v := range c.States {
+			c.States[v].Data = []byte("u")
 		}
-	}
+		c.States[7].Data = []byte("v") // illegal: outcomes now depend on coins
+		s := engine.FromRPLS(uniform.NewRPLS())
+		labels := make([]core.Label, 12)
+		for seed := uint64(0); seed < 50; seed++ {
+			round := engine.Verify(s, c, labels, opts(engine.WithSeed(seed))...).Accepted
+			estimated := engine.Acceptance(s, c, labels, 1, seed) == 1.0
+			if round != estimated {
+				t.Fatalf("seed %d: round=%v estimate=%v", seed, round, estimated)
+			}
+		}
+	})
 }
 
 func TestAcceptanceZeroTrials(t *testing.T) {
@@ -215,31 +251,37 @@ func TestVotesPinpointRejectingNode(t *testing.T) {
 		bitstring.FromBytes([]byte("same")),
 		bitstring.FromBytes([]byte("same")),
 	}
-	res := engine.Verify(engine.FromPLS(uniform.NewPLS()), c, labels, goroutineOpts()...)
-	if res.Accepted {
-		t.Fatal("inconsistent label accepted")
-	}
-	if res.Votes[2] {
-		t.Error("node 2 should reject: its label does not match its state")
-	}
-	for _, v := range []int{0, 1, 3, 4} {
-		if !res.Votes[v] {
-			t.Errorf("node %d should accept (its local view is consistent)", v)
+	onEveryExecutor(t, func(t *testing.T, opts func(...engine.Option) []engine.Option) {
+		res := engine.Verify(engine.FromPLS(uniform.NewPLS()), c, labels, opts()...)
+		if res.Accepted {
+			t.Fatal("inconsistent label accepted")
 		}
-	}
+		if res.Votes[2] {
+			t.Error("node 2 should reject: its label does not match its state")
+		}
+		for _, v := range []int{0, 1, 3, 4} {
+			if !res.Votes[v] {
+				t.Errorf("node %d should accept (its local view is consistent)", v)
+			}
+		}
+	})
 }
 
 func TestSingleNodeGraphAccepts(t *testing.T) {
 	// A single node has no neighbors; verification is purely local.
 	c := graph.NewConfig(graph.New(1))
 	c.States[0].Data = []byte("x")
-	res, err := engine.Run(engine.FromPLS(uniform.NewPLS()), c, goroutineOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Error("single-node legal config rejected")
-	}
+	onEveryExecutor(t, func(t *testing.T, opts func(...engine.Option) []engine.Option) {
+		for _, s := range []engine.Scheme{engine.FromPLS(uniform.NewPLS()), engine.FromRPLS(uniform.NewRPLS())} {
+			res, err := engine.Run(s, c, opts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Accepted {
+				t.Errorf("%s: single-node legal config rejected", s.Name())
+			}
+		}
+	})
 }
 
 func TestMaxCertBitsBoundsRoundTransmission(t *testing.T) {
@@ -254,9 +296,11 @@ func TestMaxCertBitsBoundsRoundTransmission(t *testing.T) {
 		t.Fatal("no certificate bits measured")
 	}
 	// Must match what a verification round actually transmits.
-	res := engine.Verify(s, c, labels, goroutineOpts(engine.WithSeed(7))...)
-	if res.Stats.MaxCertBits > bits {
-		t.Errorf("round transmitted %d bits but MaxCertBits reported %d",
-			res.Stats.MaxCertBits, bits)
-	}
+	onEveryExecutor(t, func(t *testing.T, opts func(...engine.Option) []engine.Option) {
+		res := engine.Verify(s, c, labels, opts(engine.WithSeed(7))...)
+		if res.Stats.MaxCertBits > bits {
+			t.Errorf("round transmitted %d bits but MaxCertBits reported %d",
+				res.Stats.MaxCertBits, bits)
+		}
+	})
 }

@@ -9,19 +9,22 @@ import (
 )
 
 // Multi-round (t-PLS) verification. A MultiRound scheme spreads its
-// per-port strings over Rounds() synchronous rounds; the executors run the
-// rounds in lockstep, meter every round's messages into the same Stats
+// per-port strings over Rounds() synchronous rounds; the round kernel
+// (Sequential.Round, whose classic round is the t = 1 case) runs the
+// rounds in lockstep, meters every round's messages into the same Stats
 // counters (MaxPortBits is therefore the exact bits-per-round of the
-// tradeoff), and hand Decide the per-port concatenation, in round order, of
-// everything that arrived on that port.
+// tradeoff), and hands Decide the per-port concatenation, in round order,
+// of everything that arrived on that port. Batched has no t-round lanes
+// and runs multi-round schemes on its embedded kernel.
 //
 // The coin contract keeps the rounds stateless and the execution
 // deterministic: in every round of trial seed, node v's rng is a fresh
 // prng.New(seed).Fork(v) — the same stream each round — so a scheme
 // re-derives its base certificates identically per round and slices out
-// the round's shard. All four executors produce identical votes and Stats
-// for the same seed at any parallelism level, exactly as in the one-round
-// case; the golden-bits test at t ∈ {1, 2, 4} enforces it.
+// the round's shard. Both executors produce votes and Stats identical to the
+// goroutine-per-node reference for the same seed at any parallelism level,
+// exactly as in the one-round case; the golden-bits test at t ∈ {1, 2, 4}
+// enforces it.
 
 // MultiRound is the optional t-round extension of Scheme. A Scheme that
 // does not implement it runs the classic single round.

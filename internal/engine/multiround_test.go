@@ -13,12 +13,12 @@ import (
 
 // The t-round golden-bits contract: sharded execution is part of the same
 // determinism guarantee as the single round. For the same seed and any
-// t ∈ {1, 2, 4}, all four executors at any parallelism level must report
-// bit-identical Summaries; the per-message maxima must be exactly the
-// ⌈κ/t⌉ shard width; totals must be conserved (sharding moves bits between
-// rounds, it does not create or destroy them); and the votes must equal
-// the base scheme's votes for the same seed, because the reassembled
-// strings are the base strings.
+// t ∈ {1, 2, 4}, the round kernel and Batched at any parallelism level must
+// report Summaries bit-identical to the goroutine-per-node oracle's; the
+// per-message maxima must be exactly the ⌈κ/t⌉ shard width; totals must be
+// conserved (sharding moves bits between rounds, it does not create or
+// destroy them); and the votes must equal the base scheme's votes for the
+// same seed, because the reassembled strings are the base strings.
 
 func shardFixtures(t *testing.T) []struct {
 	name   string
@@ -57,9 +57,8 @@ func shardFixtures(t *testing.T) []struct {
 // ⌈base κ/t⌉, and the total bits and acceptance equal the base run's.
 func TestGoldenWireBitsSharded(t *testing.T) {
 	makeExecs := []func() engine.Executor{
+		newOracle,
 		func() engine.Executor { return engine.NewSequential() },
-		func() engine.Executor { return engine.NewPool(0) },
-		func() engine.Executor { return engine.NewGoroutines() },
 		func() engine.Executor { return engine.NewBatched() },
 	}
 	for _, fx := range shardFixtures(t) {

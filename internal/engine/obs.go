@@ -15,11 +15,11 @@ var (
 	obsStopReject     = obs.NewCounter("engine.estimate.earlystop.reject")
 	obsChunkTrials    = obs.NewHistogram("engine.estimate.chunk", "trials")
 
-	// Per-executor trial timing (one observation per Monte-Carlo trial;
-	// Batched times whole lane batches instead, see obsBatchNanos).
+	// Per-trial timing (one observation per Monte-Carlo trial): the
+	// kernel's trials, Batched's fallback included, land in sequential and
+	// any other executor's in other; Batched's lanes time whole batches
+	// instead, see obsBatchNanos.
 	obsTrialSequential = obs.NewHistogram("engine.trial.sequential", "ns")
-	obsTrialPool       = obs.NewHistogram("engine.trial.pool", "ns")
-	obsTrialGoroutines = obs.NewHistogram("engine.trial.goroutines", "ns")
 	obsTrialOther      = obs.NewHistogram("engine.trial.other", "ns")
 
 	// Batched-executor shape: lane occupancy, plane-budget narrowing,
@@ -42,14 +42,8 @@ var (
 //
 //pls:hotpath
 func trialHistogram(exec Executor) *obs.Histogram {
-	switch exec.(type) {
-	case *Sequential:
+	if _, ok := exec.(*Sequential); ok {
 		return obsTrialSequential
-	case *Pool:
-		return obsTrialPool
-	case *Goroutines:
-		return obsTrialGoroutines
-	default:
-		return obsTrialOther
 	}
+	return obsTrialOther
 }

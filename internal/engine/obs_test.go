@@ -43,8 +43,6 @@ func obsWorkload(t testing.TB, exec engine.Executor, parallel int) engine.Summar
 func TestSummaryUnchangedByMetrics(t *testing.T) {
 	execs := map[string]func() engine.Executor{
 		"sequential": func() engine.Executor { return engine.NewSequential() },
-		"pool":       func() engine.Executor { return engine.NewPool(0) },
-		"goroutines": func() engine.Executor { return engine.NewGoroutines() },
 		"batched":    func() engine.Executor { return engine.NewBatched() },
 	}
 	for name, mk := range execs {

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"rpls/internal/engine"
@@ -55,6 +56,18 @@ func TestOptionValidation(t *testing.T) {
 			return err
 		}},
 	}
+	// Executor names resolve through one table; removed executors are
+	// unknown names, not aliases.
+	for _, name := range []string{"pool", "goroutines", "go", ""} {
+		cases = append(cases, struct {
+			name   string
+			option string
+			run    func() error
+		}{"executor " + name, "WithExecutor", func() error {
+			_, err := engine.NewExecutor(name)
+			return err
+		}})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()
@@ -87,5 +100,13 @@ func TestOptionValidationAcceptsBoundaries(t *testing.T) {
 	if _, err := engine.Estimate(rand, cfg,
 		engine.WithTrials(2), engine.WithParallelism(0), engine.WithMultiplicity(0)); err != nil {
 		t.Errorf("boundary options rejected: %v", err)
+	}
+	if got := strings.Join(engine.ExecutorNames(), ","); got != "sequential,batched" {
+		t.Errorf("ExecutorNames() = %s, want sequential,batched", got)
+	}
+	for name, want := range map[string]string{"sequential": "sequential", "seq": "sequential", "batched": "batched"} {
+		if exec, err := engine.NewExecutor(name); err != nil || exec.Name() != want {
+			t.Errorf("NewExecutor(%q) = %v, %v; want a %s executor", name, exec, err, want)
+		}
 	}
 }

@@ -14,15 +14,14 @@ import (
 	"rpls/internal/schemes/uniform"
 )
 
-// executors returns one fresh instance of every executor. Scratch reuse is
-// part of what the parity test exercises, so the same instances are used
-// across all rounds of a subtest.
+// executors returns the goroutine-per-node oracle followed by one fresh
+// instance of every engine executor: the round kernel and its batched wide
+// mode. Scratch reuse is part of what the parity test exercises, so the
+// same instances are used across all rounds of a subtest.
 func executors() []engine.Executor {
 	return []engine.Executor{
+		newOracle(),
 		engine.NewSequential(),
-		engine.NewPool(0),
-		engine.NewPool(3), // deliberately unaligned with GOMAXPROCS
-		engine.NewGoroutines(),
 		engine.NewBatched(),
 	}
 }
@@ -91,7 +90,7 @@ func TestExecutorParityUniform(t *testing.T) {
 }
 
 // checkParity runs the same round on every executor and requires identical
-// votes and stats. The first executor is the reference.
+// votes and stats. The first executor (the oracle) is the reference.
 func checkParity(t *testing.T, execs []engine.Executor, s engine.Scheme, c *graph.Config, labels []core.Label, seed uint64, desc string) {
 	t.Helper()
 	ref := engine.Verify(s, c, labels, engine.WithSeed(seed),

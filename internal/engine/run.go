@@ -188,11 +188,6 @@ func Sweep(scheme func(c *graph.Config) (Scheme, error), build func(n int, seed 
 	if w > len(sizes) {
 		w = len(sizes)
 	}
-	if w > 1 {
-		if _, ok := o.executor().(Cloneable); !ok {
-			w = 1 // cannot give each worker its own scratch; stay serial
-		}
-	}
 	points := make([]SweepPoint, len(sizes))
 	errs := make([]error, len(sizes))
 	if w <= 1 {
@@ -211,7 +206,7 @@ func Sweep(scheme func(c *graph.Config) (Scheme, error), build func(n int, seed 
 		po := o
 		po.parallelism = 1
 		if i > 0 {
-			po.exec = o.executor().(Cloneable).Clone()
+			po.exec = o.executor().Clone()
 		}
 		go func(i int, po options) {
 			defer wg.Done()

@@ -14,8 +14,9 @@ import (
 )
 
 // The golden-bits contract: wire accounting is part of the determinism
-// guarantee. For the same seed, all four executors must report identical
-// TotalBits/MaxPortBits/AvgBitsPerEdge, at every parallelism level, for
+// guarantee. For the same seed, the round kernel and Batched must report
+// TotalBits/MaxPortBits/AvgBitsPerEdge identical to the goroutine-per-node
+// oracle's, at every parallelism level, for
 // deterministic and randomized schemes alike — and the numbers must be
 // nonzero, or the det-vs-rand communication gap is unmeasurable.
 
@@ -51,9 +52,10 @@ func wireSchemes(t *testing.T) []struct {
 	return out
 }
 
-// TestGoldenWireBitsAcrossExecutors pins the satellite fix: the same seed
-// yields bit-identical wire counters on every executor at every
-// parallelism level, and the counters are nonzero for det and rand alike.
+// TestGoldenWireBitsAcrossExecutors pins the wire contract: the same seed
+// yields bit-identical wire counters on every executor (the oracle first,
+// as the reference) at every parallelism level, and the counters are
+// nonzero for det and rand alike.
 func TestGoldenWireBitsAcrossExecutors(t *testing.T) {
 	// The multiplicity dimension: every cell of the executor × parallelism
 	// matrix must also be byte-identical under every message-multiplicity
@@ -64,9 +66,8 @@ func TestGoldenWireBitsAcrossExecutors(t *testing.T) {
 			var ref engine.Summary
 			first := true
 			for _, mkExec := range []func() engine.Executor{
+				newOracle,
 				func() engine.Executor { return engine.NewSequential() },
-				func() engine.Executor { return engine.NewPool(0) },
-				func() engine.Executor { return engine.NewGoroutines() },
 				func() engine.Executor { return engine.NewBatched() },
 			} {
 				for _, p := range []int{1, 4, 16} {

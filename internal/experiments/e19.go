@@ -75,7 +75,7 @@ func E19WireAccounting(seed uint64, quick bool) (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"det bits/edge equals λ exactly (the payload travels whole); rand bits/edge is the γ-prefixed (x, A(x)) fingerprint, identical on every topology.",
-		"All four executors meter identical totals for the same seed — the golden-bits test in internal/engine enforces it.")
+		"Sequential and Batched meter identical totals for the same seed, equal to an independent goroutine-per-node reference — the golden-bits test in internal/engine enforces it.")
 	return t, nil
 }
 

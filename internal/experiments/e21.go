@@ -21,7 +21,7 @@ import (
 // graph families, asserting the curve is monotone non-increasing, that
 // verification stays complete under every cap, that the distinct-message
 // meter obeys its conservation law, and that every point is byte-identical
-// across all four executors at parallelism 1 and 4.
+// across the round kernel (Sequential) and Batched at parallelism 1 and 4.
 func E21Congestion(seed uint64, quick bool) (Table, error) {
 	const n, lambda = 24, 512
 	mults := []int{1, 2, 4, 0} // congestion-axis order: broadcast first, unicast (0) last
@@ -44,15 +44,13 @@ func E21Congestion(seed uint64, quick bool) (Table, error) {
 		mk   func() engine.Executor
 	}{
 		{"sequential", func() engine.Executor { return engine.NewSequential() }},
-		{"pool", func() engine.Executor { return engine.NewPool(0) }},
-		{"goroutines", func() engine.Executor { return engine.NewGoroutines() }},
 		{"batched", func() engine.Executor { return engine.NewBatched() }},
 	}
 
 	t := Table{
 		ID:    "E21",
 		Title: "Congestion-bounded verification: broadcast ⇄ unicast",
-		Claim: "Capping per-node message multiplicity at m trades congestion for proof traffic: merging schemes' verified bits fall monotonically from the broadcast extreme (m = 1) to unicast (m = deg), the replication fallback stays flat, and every point is byte-identical across all four executors.",
+		Claim: "Capping per-node message multiplicity at m trades congestion for proof traffic: merging schemes' verified bits fall monotonically from the broadcast extreme (m = 1) to unicast (m = deg), the replication fallback stays flat, and every point is byte-identical across the Sequential and Batched executors.",
 		Headers: []string{"family", "scheme", "n", "m",
 			"total bits", "distinct msgs", "bits/edge", "accepted"},
 	}
@@ -131,7 +129,7 @@ func E21Congestion(seed uint64, quick bool) (Table, error) {
 	t.Notes = append(t.Notes,
 		"m=∞ rows are the unconstrained classic round (the unicast extreme); rows are in congestion-axis order, broadcast first.",
 		"unif rand and unif compiled implement core.CappedRPLS: a port class carries the γ-framed concatenation of its members' fingerprints, so bits fall like Σ class² as m grows. unif det degrades by core.CapReplicate and stays flat.",
-		"Every row was computed 8 times (four executors × parallelism 1 and 4) and the summaries compared for byte identity; the campaign form of this table is BENCH_congest.json (plscampaign congest), which CI gates.")
+		"Every row was computed 4 times (Sequential and Batched × parallelism 1 and 4) and the summaries compared for byte identity; the campaign form of this table is BENCH_congest.json (plscampaign congest), which CI gates.")
 	return t, nil
 }
 

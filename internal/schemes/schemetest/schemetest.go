@@ -27,8 +27,8 @@ import (
 // constants.
 type Harness struct {
 	Seed uint64
-	// Exec, when non-nil, runs every round on this executor. Estimates may
-	// clone it (see engine.Cloneable) when Parallelism > 1.
+	// Exec, when non-nil, runs every round on this executor. Estimates
+	// clone it (Executor.Clone) once per extra worker when Parallelism > 1.
 	Exec engine.Executor
 	// Parallelism is forwarded to the engine estimator; 0 or 1 is serial.
 	// Summaries are bit-identical at every level, so tests may crank this
