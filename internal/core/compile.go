@@ -118,44 +118,92 @@ func (c *compiled) splitLabel(own Label, deg int) (self Label, replicas []Label,
 	return self, replicas, nil
 }
 
+// compiledNode is one node's decoded compiled label: the self sub-label
+// and its field, one replica per port, and the split error of a malformed
+// label. The label path decodes one per call; Prepare decodes one per
+// estimate and adds the inner verifier's vote.
+type compiledNode struct {
+	deg      int
+	self     Label
+	p        uint64 // field of the self sub-label's fingerprints
+	replicas []Label
+	err      error
+	vote     bool // inner.Verify on (self, replicas); set by Prepare only
+}
+
+var _ Preparer = (*compiled)(nil)
+
+// split decodes own for the node described by view.
+func (c *compiled) split(view View, own Label) compiledNode {
+	self, replicas, err := c.splitLabel(own, view.Deg)
+	n := compiledNode{deg: view.Deg, self: self, replicas: replicas, err: err}
+	if err == nil {
+		n.p = field.PrimeForLength(self.Len())
+	}
+	return n
+}
+
 // Certs fingerprints the node's own sub-label once per port with
 // independent coins (edge independence, Definition 4.5).
 func (c *compiled) Certs(view View, own Label, rng *prng.Rand) []Cert {
-	self, _, err := c.splitLabel(own, view.Deg)
-	if err != nil {
-		// A node with a malformed label sends empty certificates; its
-		// neighbors reject them, and the node itself rejects in Decide.
-		return make([]Cert, view.Deg)
-	}
-	p := field.PrimeForLength(self.Len())
-	certs := make([]Cert, view.Deg)
-	for i := range certs {
-		fp := field.NewFingerprint(self, p, rng.Fork(uint64(i)))
-		var w bitstring.Writer
-		w.WriteGamma(uint64(self.Len()))
-		fp.Encode(&w)
-		certs[i] = w.String()
-	}
-	return certs
+	n := c.split(view, own)
+	return n.Certs(rng)
 }
 
 // Decide checks every received fingerprint against the stored replica of
 // that neighbor's label, then runs the original deterministic verifier on
 // the replicas.
 func (c *compiled) Decide(view View, own Label, received []Cert) bool {
-	self, replicas, err := c.splitLabel(own, view.Deg)
-	if err != nil {
-		return false
+	n := c.split(view, own)
+	return n.fingerprintsMatch(received) && c.inner.Verify(view, n.self, n.replicas)
+}
+
+// Prepare implements Preparer: the label is split, the field chosen, and
+// the inner verifier run once. The inner vote may be hoisted out of the
+// trials because it sees only the self sub-label and the replicas, never
+// a coin — DecideLanes already runs it once per batch for the same
+// reason. Every received fingerprint is still checked per trial.
+func (c *compiled) Prepare(view View, own Label) Prepared {
+	n := c.split(view, own)
+	if n.err == nil {
+		n.vote = c.inner.Verify(view, n.self, n.replicas)
 	}
-	if len(received) != view.Deg {
+	return &n
+}
+
+// Certs writes one fingerprint certificate per port through the one-lane
+// FingerprintLanes, the writer CertsLanes uses for every lane. A node with
+// a malformed label sends empty certificates; its neighbors reject them,
+// and the node itself rejects in Decide.
+func (n *compiledNode) Certs(rng *prng.Rand) []Cert {
+	certs := make([]Cert, n.deg)
+	if n.err != nil {
+		return certs
+	}
+	rngs, out := [1]*prng.Rand{rng}, [1][]Cert{certs}
+	FingerprintLanes(n.self, n.p, rngs[:], n.deg, nil, out[:])
+	return certs
+}
+
+// Decide is the prepared node's vote: every received fingerprint must
+// match its replica, and the inner verifier must have accepted.
+func (n *compiledNode) Decide(received []Cert) bool {
+	return n.fingerprintsMatch(received) && n.vote
+}
+
+// fingerprintsMatch reports whether the label is well formed, one
+// certificate arrived per port, and each matches the stored replica of
+// its sender's label.
+func (n *compiledNode) fingerprintsMatch(received []Cert) bool {
+	if n.err != nil || len(received) != n.deg {
 		return false
 	}
 	for i, cert := range received {
-		if !checkFingerprint(cert, replicas[i]) {
+		if !checkFingerprint(cert, n.replicas[i]) {
 			return false
 		}
 	}
-	return c.inner.Verify(view, self, replicas)
+	return true
 }
 
 // checkFingerprint verifies one transmitted certificate — gamma length

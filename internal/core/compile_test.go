@@ -7,9 +7,11 @@ import (
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
 	"rpls/internal/engine"
+	"rpls/internal/experiments"
 	"rpls/internal/field"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
+	"rpls/internal/schemes/mst"
 	"rpls/internal/schemes/uniform"
 )
 
@@ -208,6 +210,56 @@ func TestCompiledRejectsLengthLie(t *testing.T) {
 	if s.Decide(view, labels[0], []core.Cert{w.String()}) {
 		t.Error("length lie accepted despite matching zero polynomial")
 	}
+}
+
+// FuzzCompiledPrepared fuzzes the exposure Prepare adds: it runs the
+// inner verifier on every node's decoded replicas, including replicas
+// whose fingerprint fails and which the label path therefore never hands
+// it. The fuzzer picks the bits of one compiled-MST node's label and of
+// the certificate arriving on its first port; the other ports receive
+// their honest certificates. The oracle: no panic, and the prepared
+// node's certificates and vote equal the label path's.
+func FuzzCompiledPrepared(f *testing.F) {
+	s := mst.NewRPLS()
+	c, err := experiments.BuildMSTConfig(10, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	labels, err := s.Label(c)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v := 0 // a node of maximum degree
+	for u := range labels {
+		if c.G.Degree(u) > c.G.Degree(v) {
+			v = u
+		}
+	}
+	const seed = 21
+	view := core.ViewOf(c, v)
+	honest := make([]core.Cert, view.Deg)
+	for i, h := range c.G.AdjView(v) {
+		honest[i] = s.Certs(core.ViewOf(c, h.To), labels[h.To], prng.New(seed).Fork(uint64(h.To)))[h.RevPort-1]
+	}
+	bitsOf := func(data []byte, n int) bitstring.String {
+		if n < 0 || n > 8*len(data) {
+			n = 8 * len(data)
+		}
+		return bitstring.FromBytes(data).Truncate(n)
+	}
+	f.Fuzz(func(t *testing.T, labelData []byte, labelBits int, certData []byte, certBits int) {
+		own := bitsOf(labelData, labelBits)
+		recv := append([]core.Cert(nil), honest...)
+		recv[0] = bitsOf(certData, certBits)
+		p := s.(core.Preparer).Prepare(view, own)
+		rng := func() *prng.Rand { return prng.New(seed).Fork(uint64(v)) }
+		if !certsEqual(p.Certs(rng()), s.Certs(view, own, rng())) {
+			t.Fatal("Prepared.Certs != Certs")
+		}
+		if got, want := p.Decide(recv), s.Decide(view, own, recv); got != want {
+			t.Fatalf("Prepared.Decide = %v, Decide = %v", got, want)
+		}
+	})
 }
 
 func log2ceil(n int) int {

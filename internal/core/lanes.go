@@ -9,9 +9,10 @@ import (
 // LaneRPLS is the optional batched extension of RPLS. A batched executor
 // runs up to 64 Monte-Carlo trials ("lanes") through one graph traversal;
 // a scheme implementing LaneRPLS generates certificates and decisions for
-// all lanes of a node in one call, amortizing the seed-independent work —
-// label parsing, prime selection, the coefficient walk of polynomial
-// evaluation — that Certs/Decide would redo per trial.
+// all lanes of a node in one call. It amortizes across the lanes what the
+// one-trial entry points repeat per trial: the coefficient walk of
+// polynomial evaluation, and — for a scheme that is not prepared (see
+// Preparer) — label parsing, prime selection and any coin-free check.
 //
 // The contract is strict bit-equivalence with the one-lane entry points:
 //
@@ -46,7 +47,9 @@ func LaneMask(lanes int) uint64 {
 // drawing x from rngs[l].Fork(i) exactly as the one-lane schemes do, and
 // evaluating the shared polynomial at all points in one batched pass
 // (through cache when the scheme provides one; nil evaluates directly). It
-// is the common core of the compiled and uniform CertsLanes.
+// is the one certificate writer of the compiled scheme — Certs and its
+// prepared form call it with one lane, CertsLanes with every lane — and
+// the core of the uniform CertsLanes.
 //
 // All certificates of a call have the same bit length, so they are framed
 // into one shared slab: two allocations per call — evaluation points and
@@ -82,11 +85,12 @@ func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, 
 var _ LaneRPLS = (*compiled)(nil)
 
 // CertsLanes implements LaneRPLS: the label is parsed and the field chosen
-// once, and the self sub-label's polynomial is evaluated at all
-// lanes × ports points in one coefficient walk.
+// once per batch, and the writer of Certs — FingerprintLanes — evaluates
+// the self sub-label's polynomial at all lanes × ports points in one
+// coefficient walk.
 func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert) {
-	self, _, err := c.splitLabel(own, view.Deg)
-	if err != nil {
+	n := c.split(view, own)
+	if n.err != nil {
 		// Same as Certs: a malformed label sends empty certificates.
 		for l := range rngs {
 			for i := 0; i < view.Deg; i++ {
@@ -97,7 +101,7 @@ func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]C
 	}
 	// No cache: the self sub-label differs per node, so a shared one-entry
 	// memo would thrash.
-	FingerprintLanes(self, field.PrimeForLength(self.Len()), rngs, view.Deg, nil, out)
+	FingerprintLanes(n.self, n.p, rngs, view.Deg, nil, out)
 }
 
 // DecideLanes implements LaneRPLS. Per port, each lane's certificate is

@@ -5,17 +5,21 @@ import (
 
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
+	"rpls/internal/experiments"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
+	"rpls/internal/schemes/mst"
 	"rpls/internal/schemes/uniform"
 )
 
 // laneSchemes enumerates the LaneRPLS implementations under test together
 // with a config on which their labels are valid. The compiled scheme
-// exercises the replica-splitting path, uniform the shared-polynomial
-// path, the truncated variant a fixed tiny field (p = 2), and Boost both
-// the lane-capable delegation (uniform inner) and the per-lane fallback
-// (coinRPLS inner, which does not implement LaneRPLS).
+// exercises the replica-splitting path — over MST, whose inner verifier
+// carries the claim, also under malformed labels — uniform the
+// shared-polynomial path, the truncated variant a fixed tiny field
+// (p = 2), and Boost both the lane-capable delegation (uniform inner) and
+// the per-lane fallback (coinRPLS inner, which does not implement
+// LaneRPLS).
 func laneSchemes(t *testing.T) []struct {
 	name   string
 	scheme core.RPLS
@@ -65,22 +69,118 @@ func laneSchemes(t *testing.T) []struct {
 	add("uniform-illegal", uniform.NewRPLS(), broken, false)
 	add("truncated", uniform.NewTruncatedRPLS(2), legal(10), true)
 	add("compiled", core.Compile(uniform.NewPLS()), legal(14), true)
+	// Labels transplanted from the legal twin: every replica is faithful,
+	// so only the inner verifier at the deviant node rejects.
+	add("compiled-illegal", core.Compile(uniform.NewPLS()), legal(12), true)
+	out[len(out)-1].cfg = broken
+	mstCfg, err := experiments.BuildMSTConfig(14, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("compiled-mst", mst.NewRPLS(), mstCfg, true)
+	malformed := out[len(out)-1]
+	malformed.name = "compiled-mst-malformed"
+	malformed.labels = append([]core.Label(nil), malformed.labels...)
+	malformed.labels[1] = truncatedLabel(malformed.labels[1])
+	malformed.labels[2] = trailingBitLabel(malformed.labels[2])
+	malformed.labels[3] = gammaLieLabel(malformed.labels[3])
+	malformed.labels[4] = overlongReplicaLabel(malformed.labels[4])
+	out = append(out, malformed)
 	add("boost3", core.Boost(uniform.NewRPLS(), 3), legal(12), true)
 	add("boost3-illegal", core.Boost(uniform.NewRPLS(), 3), broken, false)
 	add("boost5-two-sided", core.Boost(coinRPLS{bits: 2}, 5), legal(8), true)
 	return out
 }
 
+// truncatedLabel drops the last three bits of a label.
+func truncatedLabel(l core.Label) core.Label { return l.Truncate(l.Len() - 3) }
+
+// trailingBitLabel appends one 1 bit to a label.
+func trailingBitLabel(l core.Label) core.Label {
+	return bitstring.Concat(l, bitstring.FromBits([]byte{1}))
+}
+
+// gammaLieLabel rewrites the leading Elias-gamma length of a compiled
+// label — its self sub-label's — to claim one bit more than follows, so
+// every later field is read one bit out of place.
+func gammaLieLabel(l core.Label) core.Label {
+	r := bitstring.NewReader(l)
+	n, err := r.ReadGamma()
+	if err != nil {
+		panic(err)
+	}
+	rest, err := r.ReadString(r.Remaining())
+	if err != nil {
+		panic(err)
+	}
+	var w bitstring.Writer
+	w.WriteGamma(n + 1)
+	w.WriteString(rest)
+	return w.String()
+}
+
+// overlongReplicaLabel appends one bit to the first replica of a
+// compiled label and lengthens its gamma prefix to match, so the label
+// still splits but that replica cannot equal its sender's label.
+func overlongReplicaLabel(l core.Label) core.Label {
+	r := bitstring.NewReader(l)
+	var w bitstring.Writer
+	for sub := 0; sub < 2; sub++ {
+		n, err := r.ReadGamma()
+		if err != nil {
+			panic(err)
+		}
+		s, err := r.ReadString(int(n))
+		if err != nil {
+			panic(err)
+		}
+		if sub == 1 {
+			s = bitstring.Concat(s, bitstring.FromBits([]byte{1}))
+		}
+		w.WriteGamma(uint64(s.Len()))
+		w.WriteString(s)
+	}
+	rest, err := r.ReadString(r.Remaining())
+	if err != nil {
+		panic(err)
+	}
+	w.WriteString(rest)
+	return w.String()
+}
+
+// certsEqual reports whether two certificate vectors are bit-identical.
+func certsEqual(a, b []core.Cert) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestLanesMatchPerLane pins the LaneRPLS contract: CertsLanes slot (l, i)
 // is bit-identical to Certs with rngs[l] (empty past the short tail), and
 // DecideLanes bit l equals Decide on lane l's certificates — both on the
-// honest exchange and with one lane's certificate corrupted.
+// honest exchange and with one lane's certificate corrupted. A scheme that
+// also implements Preparer must match the same one-lane entry points from
+// its prepared nodes: Prepared.Certs(rng) equals Certs, and
+// Prepared.Decide equals Decide, on every exchange checked here.
 func TestLanesMatchPerLane(t *testing.T) {
 	for _, tc := range laneSchemes(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			ls, ok := tc.scheme.(core.LaneRPLS)
 			if !ok {
 				t.Fatalf("%s does not implement LaneRPLS", tc.scheme.Name())
+			}
+			var prepared []core.Prepared
+			if p, ok := tc.scheme.(core.Preparer); ok {
+				prepared = make([]core.Prepared, tc.cfg.G.N())
+				for v := range prepared {
+					prepared[v] = p.Prepare(core.ViewOf(tc.cfg, v), tc.labels[v])
+				}
 			}
 			for _, lanes := range []int{1, 3, 64} {
 				n := tc.cfg.G.N()
@@ -92,6 +192,13 @@ func TestLanesMatchPerLane(t *testing.T) {
 					for v := 0; v < n; v++ {
 						rng := prng.New(uint64(1000 + l)).Fork(uint64(v))
 						want[l][v] = tc.scheme.Certs(core.ViewOf(tc.cfg, v), tc.labels[v], rng)
+						if prepared == nil {
+							continue
+						}
+						got := prepared[v].Certs(prng.New(uint64(1000 + l)).Fork(uint64(v)))
+						if !certsEqual(got, want[l][v]) {
+							t.Fatalf("lanes=%d node %d lane %d: Prepared.Certs != Certs", lanes, v, l)
+						}
 					}
 				}
 				for v := 0; v < n; v++ {
@@ -143,6 +250,10 @@ func TestLanesMatchPerLane(t *testing.T) {
 							if ref != (got&(1<<uint(l)) != 0) {
 								t.Fatalf("corrupt=%v lanes=%d node %d lane %d: DecideLanes bit %v, Decide %v",
 									corrupt, lanes, v, l, got&(1<<uint(l)) != 0, ref)
+							}
+							if prepared != nil && prepared[v].Decide(recv[l]) != ref {
+								t.Fatalf("corrupt=%v lanes=%d node %d lane %d: Prepared.Decide %v, Decide %v",
+									corrupt, lanes, v, l, !ref, ref)
 							}
 						}
 					}

@@ -7,6 +7,7 @@ import (
 	"rpls/internal/core"
 	"rpls/internal/graph"
 	"rpls/internal/obs"
+	"rpls/internal/prng"
 )
 
 // The trial-parallel Monte-Carlo estimator.
@@ -22,6 +23,11 @@ import (
 // in serial trial order, applying the stopping rule after each trial — the
 // stopping trial is exactly the one a serial run would stop at, and any
 // speculatively computed later trials are discarded.
+//
+// Labels are fixed across trials, so before the first chunk the estimator
+// prepares every node of a core.Preparer scheme once (see prepare): the
+// trials then run only the coin-dependent part of Certs and Decide, with
+// bit-identical results.
 
 // estimateChunk caps the number of trials computed ahead of the serial
 // stopping scan when an early-stop rule is active. Chunks follow the fixed
@@ -135,6 +141,7 @@ func (o *options) estimateLabels(s Scheme, c *graph.Config, labels []core.Label)
 	obsEstimates.Inc()
 	sp := obs.Begin("engine.estimate")
 	execs := o.shardExecutors()
+	s = prepare(s, c, labels, execs[0])
 
 	// With an early-stop rule active, compute trials ahead on the fixed
 	// geometric chunk schedule; otherwise one chunk covers the whole run.
@@ -198,6 +205,55 @@ scan:
 	sp.A, sp.B = int64(done), int64(accepted)
 	obs.End(sp)
 	return sum
+}
+
+// prepare returns s answering Certs and Decide from per-node state built
+// once for this estimate, when s is an uncapped single-round FromRPLS
+// adapter whose RPLS implements core.Preparer; otherwise s itself. It
+// leaves s alone when Batched's lanes will run every trial: they already
+// parse once per batch. The prepared nodes live for one estimate only —
+// configurations are mutated in place between calls (see scratch.ensure),
+// so they are never memoized on the scheme or the executor.
+func prepare(s Scheme, c *graph.Config, labels []core.Label, exec Executor) Scheme {
+	if _, ok := exec.(*Batched); ok {
+		if _, _, lanes := laneScheme(s); lanes {
+			return s
+		}
+	}
+	r, ok := AsRPLS(s)
+	if !ok {
+		return s
+	}
+	p, ok := r.(core.Preparer)
+	if !ok {
+		return s
+	}
+	t0 := obsPrepareNanos.Start()
+	nodes := make([]core.Prepared, len(labels))
+	for v := range nodes {
+		nodes[v] = p.Prepare(core.ViewOf(c, v), labels[v])
+	}
+	obsPrepareNanos.Stop(t0)
+	return preparedScheme{Scheme: s, nodes: nodes}
+}
+
+// preparedScheme answers the round kernel's Certs and Decide from the
+// prepared node at view.Node and delegates everything else to the
+// FromRPLS adapter it wraps. That relies on an invariant of every
+// executor: the view handed to Certs and Decide for node v is
+// core.ViewOf(c, v), passed next to labels[v] — the view and label the
+// node was prepared from. Workers share nodes read-only.
+type preparedScheme struct {
+	Scheme
+	nodes []core.Prepared
+}
+
+func (w preparedScheme) Certs(view core.View, _ core.Label, rng *prng.Rand) []core.Cert {
+	return w.nodes[view.Node].Certs(rng)
+}
+
+func (w preparedScheme) Decide(view core.View, _ core.Label, received []core.Cert) bool {
+	return w.nodes[view.Node].Decide(received)
 }
 
 // shardExecutors resolves the worker executors: the caller's executor

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rpls/internal/bitstring"
 	"rpls/internal/core"
 	"rpls/internal/engine"
 	"rpls/internal/experiments"
@@ -29,17 +30,57 @@ func corruptedUniform(t *testing.T, n int, seed uint64) (engine.Scheme, *graph.C
 	return s, bad, labels
 }
 
+// corruptedCompiled returns the compiled uniform scheme on a path whose
+// last node carries payload Y while the others carry X, under labels in
+// which that node claims Y everywhere and its neighbour keeps its honest
+// replica X. Both inner verifiers accept, so only the two fingerprint
+// checks across the last edge can reject: X − Y is the polynomial x⁷ − 1,
+// which has 7 roots in GF(29), so each check passes with probability 7/29
+// and the acceptance rate is strictly between 0 and 1.
+func corruptedCompiled(t *testing.T) (core.RPLS, *graph.Config, []core.Label) {
+	t.Helper()
+	x, y := []byte{0x41}, []byte{0xC0}
+	legal := graph.NewConfig(graph.Path(6))
+	for v := range legal.States {
+		legal.States[v].Data = x
+	}
+	s := core.Compile(uniform.NewPLS())
+	labels, err := s.Label(legal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := legal.Clone()
+	last := bad.G.N() - 1
+	bad.States[last].Data = y
+	claim := bitstring.FromBytes(y)
+	var w bitstring.Writer
+	for i := 0; i <= bad.G.Degree(last); i++ {
+		w.WriteGamma(uint64(claim.Len()))
+		w.WriteString(claim)
+	}
+	labels[last] = w.String()
+	return s, bad, labels
+}
+
+// labelPath hides the optional extensions of the RPLS it wraps —
+// core.Preparer among them — so the estimator runs the label path.
+type labelPath struct{ core.RPLS }
+
 // TestEstimateParallelDeterminism extends the executor-parity guarantee to
 // the batch layer: the same seed must yield a bit-identical Summary for
 // every parallelism level crossed with every executor — with and without
-// the early-stop rules.
+// the early-stop rules. An input with a ref scheme takes its reference
+// Summary from it on the label path, so the prepared estimator is checked
+// against Certs and Decide.
 func TestEstimateParallelDeterminism(t *testing.T) {
-	schemes := []struct {
+	type input struct {
 		name   string
 		s      engine.Scheme
 		cfg    *graph.Config
 		labels []core.Label
-	}{}
+		ref    engine.Scheme
+	}
+	var schemes []input
 
 	// A deterministic scheme under honest labels.
 	det := engine.FromPLS(spanningtree.NewPLS())
@@ -48,21 +89,17 @@ func TestEstimateParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemes = append(schemes, struct {
-		name   string
-		s      engine.Scheme
-		cfg    *graph.Config
-		labels []core.Label
-	}{"spanningtree-det", det, detCfg, detLabels})
+	schemes = append(schemes, input{"spanningtree-det", det, detCfg, detLabels, nil})
 
 	// A randomized scheme with interior acceptance rate.
 	s, bad, labels := corruptedUniform(t, 30, 7)
-	schemes = append(schemes, struct {
-		name   string
-		s      engine.Scheme
-		cfg    *graph.Config
-		labels []core.Label
-	}{"uniform-corrupted", s, bad, labels})
+	schemes = append(schemes, input{"uniform-corrupted", s, bad, labels, nil})
+
+	// A compiled scheme with interior acceptance rate: prepared on the
+	// kernel, lanes on Batched, the label path for the reference.
+	cs, cbad, clabels := corruptedCompiled(t)
+	schemes = append(schemes, input{"compiled-corrupted", engine.FromRPLS(cs), cbad, clabels,
+		engine.FromRPLS(labelPath{cs})})
 
 	extraOpts := map[string][]engine.Option{
 		"full":         nil,
@@ -78,8 +115,26 @@ func TestEstimateParallelDeterminism(t *testing.T) {
 				// TestOptionValidation pins the typed error.
 				continue
 			}
+			estimate := func(s engine.Scheme, exec engine.Executor, p int) engine.Summary {
+				opts := append([]engine.Option{
+					engine.WithLabels(sc.labels), engine.WithTrials(200),
+					engine.WithSeed(11), engine.WithExecutor(exec),
+					engine.WithParallelism(p),
+				}, extra...)
+				sum, err := engine.Estimate(s, sc.cfg, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sum
+			}
 			var ref engine.Summary
-			first := true
+			first := sc.ref == nil
+			if !first {
+				ref = estimate(sc.ref, engine.NewSequential(), 1)
+				if optName == "full" && (ref.Accepted == 0 || ref.Accepted == ref.Trials) {
+					t.Fatalf("%s: acceptance %d/%d is not interior", sc.name, ref.Accepted, ref.Trials)
+				}
+			}
 			for _, mkExec := range []func() engine.Executor{
 				newOracle,
 				func() engine.Executor { return engine.NewSequential() },
@@ -87,15 +142,7 @@ func TestEstimateParallelDeterminism(t *testing.T) {
 			} {
 				for _, p := range []int{1, 4, 16} {
 					exec := mkExec()
-					opts := append([]engine.Option{
-						engine.WithLabels(sc.labels), engine.WithTrials(200),
-						engine.WithSeed(11), engine.WithExecutor(exec),
-						engine.WithParallelism(p),
-					}, extra...)
-					sum, err := engine.Estimate(sc.s, sc.cfg, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sum := estimate(sc.s, exec, p)
 					if first {
 						ref, first = sum, false
 						continue

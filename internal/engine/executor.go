@@ -203,11 +203,13 @@ func (e *Sequential) Clone() Executor { return NewSequential() }
 // port slots and decides; a t > 1 round appends each port's string to its
 // directed edge's shard list (allocated per call), and after the last
 // round every node decides from the per-port concatenations in round
-// order. The deterministic t = 1 round is the zero-alloc hot path: the
-// plsvet hotalloc analyzer rejects allocating constructs in every
-// //pls:hotpath function at the AST level, TestSequentialRoundAllocs
-// asserts the warm round allocates nothing, and the benchgate allocation
-// band locks the measured steady state in CI.
+// order. Node v's view is always core.ViewOf(c, v), passed beside
+// labels[v]: the estimator's prepared schemes index their per-node state
+// by view.Node (see preparedScheme). The deterministic t = 1 round is the
+// zero-alloc hot path: the plsvet hotalloc analyzer rejects allocating
+// constructs in every //pls:hotpath function at the AST level,
+// TestSequentialRoundAllocs asserts the warm round allocates nothing, and
+// the benchgate allocation band locks the measured steady state in CI.
 //
 //pls:hotpath
 func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {

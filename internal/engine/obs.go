@@ -8,12 +8,15 @@ import "rpls/internal/obs"
 // Summary, vote, or Stats field. Names are stable: the -metrics snapshot
 // schema and plsrun's human output key on them.
 var (
-	// Estimator shape: runs, executed trials, chunk schedule, early stops.
+	// Estimator shape: runs, executed trials, chunk schedule, early stops,
+	// and the time spent preparing nodes (one observation per prepared
+	// estimate).
 	obsEstimates      = obs.NewCounter("engine.estimate.runs")
 	obsEstimateTrials = obs.NewCounter("engine.estimate.trials")
 	obsStopMaxSE      = obs.NewCounter("engine.estimate.earlystop.maxse")
 	obsStopReject     = obs.NewCounter("engine.estimate.earlystop.reject")
 	obsChunkTrials    = obs.NewHistogram("engine.estimate.chunk", "trials")
+	obsPrepareNanos   = obs.NewHistogram("engine.estimate.prepare", "ns")
 
 	// Per-trial timing (one observation per Monte-Carlo trial): the
 	// kernel's trials, Batched's fallback included, land in sequential and

@@ -5,9 +5,11 @@ import (
 
 	"rpls/internal/core"
 	"rpls/internal/engine"
+	"rpls/internal/experiments"
 	"rpls/internal/graph"
 	"rpls/internal/obs"
 	"rpls/internal/prng"
+	"rpls/internal/schemes/mst"
 	"rpls/internal/schemes/uniform"
 )
 
@@ -40,33 +42,61 @@ func obsWorkload(t testing.TB, exec engine.Executor, parallel int) engine.Summar
 	return sum
 }
 
+// obsCompiledWorkload estimates the compiled MST scheme on honest labels:
+// the kernel runs it from prepared nodes, Batched in lanes.
+func obsCompiledWorkload(t testing.TB, exec engine.Executor, parallel int) engine.Summary {
+	cfg, err := experiments.BuildMSTConfig(12, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme := engine.FromRPLS(mst.NewRPLS())
+	sum, err := engine.Estimate(scheme, cfg, engine.WithTrials(96), engine.WithSeed(5),
+		engine.WithExecutor(exec), engine.WithParallelism(parallel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
 func TestSummaryUnchangedByMetrics(t *testing.T) {
+	workloads := map[string]func(testing.TB, engine.Executor, int) engine.Summary{
+		"boosted-uniform": obsWorkload,
+		"compiled-mst":    obsCompiledWorkload,
+	}
 	execs := map[string]func() engine.Executor{
 		"sequential": func() engine.Executor { return engine.NewSequential() },
 		"batched":    func() engine.Executor { return engine.NewBatched() },
 	}
-	for name, mk := range execs {
-		for _, parallel := range []int{1, 4} {
-			obs.SetEnabled(false)
-			off := obsWorkload(t, mk(), parallel)
+	for wname, run := range workloads {
+		for name, mk := range execs {
+			for _, parallel := range []int{1, 4} {
+				obs.SetEnabled(false)
+				off := run(t, mk(), parallel)
 
-			obs.Reset()
-			obs.SetEnabled(true)
-			on := obsWorkload(t, mk(), parallel)
-			snap := obs.TakeSnapshot()
-			obs.SetEnabled(false)
-			obs.Reset()
+				obs.Reset()
+				obs.SetEnabled(true)
+				on := run(t, mk(), parallel)
+				snap := obs.TakeSnapshot()
+				obs.SetEnabled(false)
+				obs.Reset()
 
-			if on != off {
-				t.Errorf("%s/parallel=%d: Summary with metrics on %+v != off %+v", name, parallel, on, off)
-			}
-			// The run must actually have been recorded, or the comparison
-			// proves nothing.
-			if snap.Counter("engine.estimate.runs") == 0 || snap.Counter("engine.estimate.trials") == 0 {
-				t.Errorf("%s/parallel=%d: metrics-on run recorded nothing", name, parallel)
-			}
-			if name == "batched" && snap.Counter("engine.batched.batches") == 0 {
-				t.Errorf("batched run recorded no batches")
+				if on != off {
+					t.Errorf("%s/%s/parallel=%d: Summary with metrics on %+v != off %+v", wname, name, parallel, on, off)
+				}
+				// The run must actually have been recorded, or the comparison
+				// proves nothing.
+				if snap.Counter("engine.estimate.runs") == 0 || snap.Counter("engine.estimate.trials") == 0 {
+					t.Errorf("%s/%s/parallel=%d: metrics-on run recorded nothing", wname, name, parallel)
+				}
+				if name == "batched" && snap.Counter("engine.batched.batches") == 0 {
+					t.Errorf("%s: batched run recorded no batches", wname)
+				}
+				// Only the kernel prepares, and only the compiled scheme.
+				prep, _ := snap.Histogram("engine.estimate.prepare")
+				if want := wname == "compiled-mst" && name == "sequential"; (prep.Count > 0) != want {
+					t.Errorf("%s/%s/parallel=%d: %d prepared estimates recorded, want any: %v",
+						wname, name, parallel, prep.Count, want)
+				}
 			}
 		}
 	}

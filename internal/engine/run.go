@@ -52,9 +52,10 @@ func WithLabels(labels []core.Label) Option {
 
 // WithParallelism shards Estimate's trials (and Sweep's sizes) across p
 // workers, each owning a private executor with independent scratch.
-// p <= 0 selects GOMAXPROCS; the default is 1 (serial). Trial t's coins
-// depend only on seed+t and outcomes are merged by trial index, so the
-// resulting Summary is bit-identical for every p.
+// p = 0 selects GOMAXPROCS; a negative p is rejected with an
+// *OptionError. The default is 1 (serial). Trial t's coins depend only on
+// seed+t and outcomes are merged by trial index, so the resulting Summary
+// is bit-identical for every p.
 func WithParallelism(p int) Option { return func(o *options) { o.parallelism = p } }
 
 // WithMaxSE stops an estimate as soon as the half-width of the 95% Wilson
