@@ -89,6 +89,39 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 }
 
+// BenchmarkPolyEval is the field tier under benchgate: one op evaluates a
+// random n-bit string's polynomial over GF(PrimeForLength(n)) at a fixed
+// batch of about 2²⁴/n points, `points` per EvalMany call, so every row
+// runs well over benchgate's 1 ms floor at -benchtime 1x. ns/point is the
+// cost of one evaluation.
+func BenchmarkPolyEval(b *testing.B) {
+	rng := prng.New(14)
+	for _, n := range []int{64, 1293, 4096} {
+		bits := make([]byte, n)
+		for i := range bits {
+			bits[i] = rng.Bit()
+		}
+		p := field.PrimeForLength(n)
+		poly := field.NewPoly(bitstring.FromBits(bits), p)
+		evals := (1 << 24) / n &^ 63
+		xs := make([]uint64, evals)
+		for i := range xs {
+			xs[i] = rng.Uint64n(p)
+		}
+		out := make([]uint64, 64)
+		for _, points := range []int{1, 4, 64} {
+			b.Run(fmt.Sprintf("n=%d/points=%d", n, points), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for k := 0; k < evals; k += points {
+						poly.EvalMany(xs[k:k+points], out)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*evals), "ns/point")
+			})
+		}
+	}
+}
+
 // BenchmarkVerificationRound measures a full distributed verification round
 // on the engine's default round kernel (Sequential) for the two MST schemes
 // — the paper's headline predicate — across network sizes.

@@ -27,13 +27,15 @@ func FromBytes(b []byte) String {
 	return String{data: d, n: 8 * len(b)}
 }
 
-// FromBits builds a String from individual bits (0 or 1 values).
+// FromBits builds a String from individual bits: bit i is the low bit of
+// bits[i]. It packs bytes directly, since the soundness game's adversaries
+// build every label of every assignment through it.
 func FromBits(bits []byte) String {
-	var w Writer
-	for _, b := range bits {
-		w.WriteBit(b & 1)
+	d := make([]byte, (len(bits)+7)/8)
+	for i, b := range bits {
+		d[i>>3] |= (b & 1) << (7 - uint(i&7))
 	}
-	return w.String()
+	return String{data: d, n: len(bits)}
 }
 
 // Len returns the length in bits.

@@ -1,6 +1,7 @@
 package bitstring
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,24 @@ func TestFromBytes(t *testing.T) {
 	for i, b := range want {
 		if s.Bit(i) != b {
 			t.Errorf("Bit(%d) = %d, want %d", i, s.Bit(i), b)
+		}
+	}
+}
+
+// TestFromBitsMatchesWriter checks the packed FromBits against the
+// bit-at-a-time Writer at every length 0..130, on inputs whose bytes are
+// not just 0 and 1: only the low bit of each counts.
+func TestFromBitsMatchesWriter(t *testing.T) {
+	for n := 0; n <= 130; n++ {
+		in := make([]byte, n)
+		var w Writer
+		for i := range in {
+			in[i] = byte(i*37 + n*11 + i*i)
+			w.WriteBit(in[i])
+		}
+		got, want := FromBits(in), w.String()
+		if !got.Equal(want) || got.Len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: FromBits = %v (%x), Writer = %v (%x)", n, got, got.Bytes(), want, want.Bytes())
 		}
 	}
 }

@@ -10,9 +10,11 @@ import (
 // runs up to 64 Monte-Carlo trials ("lanes") through one graph traversal;
 // a scheme implementing LaneRPLS generates certificates and decisions for
 // all lanes of a node in one call. It amortizes across the lanes what the
-// one-trial entry points repeat per trial: the coefficient walk of
-// polynomial evaluation, and — for a scheme that is not prepared (see
-// Preparer) — label parsing, prime selection and any coin-free check.
+// one-trial entry points repeat per trial — for a scheme that is not
+// prepared (see Preparer), label parsing, prime selection and any
+// coin-free check — and hands every lane's evaluation points to one
+// field.Poly.EvalMany call, which walks a short string's coefficients
+// once for all of them.
 //
 // The contract is strict bit-equivalence with the one-lane entry points:
 //
@@ -45,7 +47,7 @@ func LaneMask(lanes int) uint64 {
 // FingerprintLanes writes the standard fingerprint certificate — gamma
 // length prefix plus (x, A(x)) over GF(p) — for every (lane, port) pair,
 // drawing x from rngs[l].Fork(i) exactly as the one-lane schemes do, and
-// evaluating the shared polynomial at all points in one batched pass
+// evaluating the shared polynomial at all points in one EvalMany call
 // (through cache when the scheme provides one; nil evaluates directly). It
 // is the one certificate writer of the compiled scheme — Certs and its
 // prepared form call it with one lane, CertsLanes with every lane — and
@@ -87,7 +89,7 @@ var _ LaneRPLS = (*compiled)(nil)
 // CertsLanes implements LaneRPLS: the label is parsed and the field chosen
 // once per batch, and the writer of Certs — FingerprintLanes — evaluates
 // the self sub-label's polynomial at all lanes × ports points in one
-// coefficient walk.
+// EvalMany call.
 func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert) {
 	n := c.split(view, own)
 	if n.err != nil {
@@ -107,7 +109,7 @@ func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]C
 // DecideLanes implements LaneRPLS. Per port, each lane's certificate is
 // parsed individually (lanes fail independently under adversarial input),
 // but the replica polynomial is evaluated at all surviving lanes' points
-// in one batched pass, and the inner deterministic verifier — which sees
+// in one EvalMany call, and the inner deterministic verifier — which sees
 // only the replicas, never the coins — runs once for the whole batch.
 func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 	lanes := len(recv)

@@ -171,18 +171,19 @@ func NewPoly(s bitstring.String, p uint64) Poly {
 	return Poly{bits: s, p: p}
 }
 
-// barrettM returns the Barrett constant ⌊(2^64−1)/p⌋. For z < 2^63 and
-// q = ⌊z·m / 2^64⌋, q underestimates ⌊z/p⌋ by at most 2, so z − q·p lands
-// in [z mod p, z mod p + 2p) and at most two subtractions of p finish the
-// reduction — replacing the hardware division that otherwise serializes
-// every step of the Horner recurrence.
+// barrettM returns the Barrett constant m = ⌊(2^64−1)/p⌋. For every
+// z < 2^64, q = ⌊z·m / 2^64⌋ underestimates ⌊z/p⌋ by at most 1, so z − q·p
+// lands in [z mod p, z mod p + p) and one conditional subtraction finishes
+// the reduction — replacing the hardware division that would otherwise
+// serialize the Horner recurrence. Exactness on the whole 64-bit range is
+// what lets Eval's kernel reduce only every few steps (see lazySteps).
 func barrettM(p uint64) uint64 { return ^uint64(0) / p }
 
-// barrettReduce returns z mod p given m = barrettM(p), for z < 2^63.
+// barrettReduce returns z mod p given m = barrettM(p), for any z < 2^64.
 func barrettReduce(z, p, m uint64) uint64 {
 	q, _ := bits.Mul64(z, m)
 	r := z - q*p
-	for r >= p {
+	if r >= p {
 		r -= p
 	}
 	return r
@@ -191,9 +192,10 @@ func barrettReduce(z, p, m uint64) uint64 {
 // Eval returns the polynomial evaluated at x via Horner's rule, treating
 // bit 0 as the constant coefficient: A(x) = a₀ + a₁x + … .
 //
-// Every scheme in this module uses p = O(n·λ) ≪ 2³¹, so the fast path with
-// native 64-bit products and Barrett reduction covers them; the 128-bit
-// path keeps the function correct for arbitrary moduli.
+// Every scheme in this module uses p = O(n·λ) ≪ 2³¹, so the fast paths with
+// native 64-bit products and Barrett reduction cover them — the kernel for
+// strings of at least evalChunkMin bits, a one-bit-at-a-time walk below
+// it; the 128-bit path keeps the function correct for arbitrary moduli.
 func (poly Poly) Eval(x uint64) uint64 {
 	p := poly.p
 	n := poly.bits.Len()
@@ -201,7 +203,7 @@ func (poly Poly) Eval(x uint64) uint64 {
 		x %= p
 		m := barrettM(p)
 		if n >= evalChunkMin {
-			return poly.evalChunked(x, p, m)
+			return poly.evalKernel(x, p, m)
 		}
 		acc := uint64(0)
 		// Coefficients high to low, one storage byte at a time: bit index i
@@ -229,78 +231,81 @@ func (poly Poly) Eval(x uint64) uint64 {
 	return acc
 }
 
-// evalChunkMin is the coefficient count from which the nibble-chunked
-// Horner walk pays for its table build (3 multiplications plus 15 table
-// reductions per evaluation point).
+// evalChunkMin is the coefficient count from which Eval's kernel pays for
+// its setup (a 16-entry table and three reduced powers of x per
+// evaluation point); shorter strings take the one-bit-at-a-time walks.
 const evalChunkMin = 64
 
-// revNib[v] is the bit-reversal of the 4-bit value v. Coefficients are
-// stored MSB-first within a byte while Horner consumes them high index
-// first, so a storage nibble maps to its chunk index by reversal.
-var revNib = [16]byte{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
+// lazySteps[b] is the number of Horner steps the kernel may run between
+// reductions for a modulus of bit length b: k = ⌊64/b⌋ − 1. A reduced
+// accumulator is below p, and each unreduced step acc·x⁴ + c with x⁴, c < p
+// multiplies that bound by p, so after k steps it stays below
+// p^(k+1) ≤ 2^(b(k+1)) ≤ 2^64, where barrettReduce is still exact. A table,
+// so no call divides.
+var lazySteps = func() (t [65]int) {
+	for b := 1; b <= 64; b++ {
+		t[b] = 64/b - 1
+	}
+	return t
+}()
 
-// nibTable fills t with the 16 values c₃x³+c₂x²+c₁x+c₀ mod p indexed by
-// the chunk bits c₃c₂c₁c₀, plus x⁴ mod p in t[16] — the constants one
-// Horner step of four coefficients needs: acc ← acc·x⁴ + t[c].
-func nibTable(x, p, m uint64, t *[17]uint64) {
+// evalKernel is Horner's rule four coefficients per step, for p < 2³¹:
+// acc ← acc·x⁴ + t[s] for every storage nibble s, highest coefficients
+// first, where t[s] is the value of the nibble's four coefficients (bits
+// are stored MSB-first, so s's high bit is the lowest coefficient). The
+// accumulator is reduced only every lazySteps[bits.Len64(p)] steps, and
+// once at the end. The table is built from x, x² and x³ with 15 additions,
+// each followed by one conditional subtraction. The top byte needs no
+// head walk: bits past Len are zero in storage (ByteAt), and leading zero
+// coefficients leave Horner's result unchanged. The arithmetic is exact,
+// so the result equals the bit-at-a-time walk's.
+//
+// The kernel is one dependent chain on purpose: a step is a multiply and an
+// add, so it runs at a low instruction rate. Forms that keep more work in
+// flight — four interleaved nibble chains, or one chain over whole bytes
+// fed by two table loads — were 1.8–3× faster on an idle core, but slowed
+// by up to 1.7× while the host was loaded, against 1.05× for this chain
+// (2-vCPU KVM guest, Xeon model 207), so their throughput swung from run to
+// run.
+func (poly Poly) evalKernel(x, p, m uint64) uint64 {
+	var t [16]uint64
 	x2 := barrettReduce(x*x, p, m)
-	x3 := barrettReduce(x2*x, p, m)
-	t[16] = barrettReduce(x2*x2, p, m)
-	for c := 1; c < 16; c++ {
-		v := uint64(0)
-		if c&8 != 0 {
-			v += x3
+	for i, c := range [4]uint64{barrettReduce(x2*x, p, m), x2, x, 1} {
+		h := 1 << i
+		for s := 0; s < h; s++ {
+			v := t[s] + c
+			if v >= p {
+				v -= p
+			}
+			t[h+s] = v
 		}
-		if c&4 != 0 {
-			v += x2
-		}
-		if c&2 != 0 {
-			v += x
-		}
-		if c&1 != 0 {
-			v++
-		}
-		t[c] = barrettReduce(v, p, m) // v < 4p < 2^33
 	}
-}
-
-// evalChunked is the Horner walk four coefficients at a time:
-// acc ← acc·x⁴ + (a₃x³+a₂x²+a₁x+a₀), with the 16 possible chunk values
-// tabulated once. The congruence is exact — the result equals the
-// bit-at-a-time walk's for every input — with a quarter of the reductions.
-func (poly Poly) evalChunked(x, p, m uint64) uint64 {
-	n := poly.bits.Len()
-	var t [17]uint64
-	nibTable(x, p, m, &t)
-	x4 := t[16]
+	x4 := barrettReduce(x2*x2, p, m)
+	k := lazySteps[bits.Len64(p)]
+	s := poly.bits
 	acc := uint64(0)
-	head := n & 3
-	for i := n - 1; i >= n-head; i-- {
-		bit := uint64(poly.bits.Bit(i))
-		acc = barrettReduce(acc*x+bit, p, m)
-	}
-	// Aligned coefficient groups {4g..4g+3}, high to low: group g sits in
-	// byte g>>1, even groups in the high storage nibble.
-	for g := (n-head)/4 - 1; g >= 0; g-- {
-		b := poly.bits.ByteAt(g >> 1)
-		var nib byte
-		if g&1 == 0 {
-			nib = b >> 4
-		} else {
-			nib = b & 0xF
+	c := k
+	for j := (s.Len()+7)>>3 - 1; j >= 0; j-- {
+		b := s.ByteAt(j)
+		acc = acc*x4 + t[b&15]
+		if c--; c == 0 {
+			acc, c = barrettReduce(acc, p, m), k
 		}
-		acc = barrettReduce(acc*x4+t[revNib[nib]], p, m)
+		acc = acc*x4 + t[b>>4]
+		if c--; c == 0 {
+			acc, c = barrettReduce(acc, p, m), k
+		}
 	}
-	return acc
+	return barrettReduce(acc, p, m)
 }
 
 // EvalMany evaluates the polynomial at every xs[i], writing A(xs[i]) into
-// out[i]. It is the batched form of Eval for trial-lane execution: the
-// coefficient bits are walked once for all evaluation points, so the bit
-// extraction amortizes across lanes and the independent per-lane Horner
-// chains overlap in the CPU pipeline instead of serializing on one
-// accumulator. Results are exactly Eval(xs[i]) — same field, same
-// arithmetic — at any lane count, including 1.
+// out[i]. Strings of at least evalChunkMin bits, and moduli of 2³¹ or
+// more, run Eval once per point: the kernel, four coefficients per step,
+// beats one bit walk shared by every point. Below that, where its setup
+// outweighs the walk, the coefficient bits are walked once for all points,
+// so the per-lane chains overlap in the CPU pipeline instead. Results are
+// exactly Eval(xs[i]) — same field, same arithmetic — at any lane count.
 func (poly Poly) EvalMany(xs, out []uint64) {
 	if len(out) < len(xs) {
 		panic(fmt.Sprintf("field: EvalMany out[%d] shorter than xs[%d]", len(out), len(xs)))
@@ -308,29 +313,21 @@ func (poly Poly) EvalMany(xs, out []uint64) {
 	out = out[:len(xs)]
 	p := poly.p
 	n := poly.bits.Len()
-	if p >= 1<<31 {
+	perPoint := p >= 1<<31 || n >= evalChunkMin
+	for _, x := range xs {
+		// Unreduced points are legal for Eval; keep the batched form
+		// bit-identical without mutating the caller's slice.
+		perPoint = perPoint || x >= p
+	}
+	if perPoint {
 		for l, x := range xs {
 			out[l] = poly.Eval(x)
 		}
 		return
 	}
-	for _, x := range xs {
-		if x >= p {
-			// Unreduced points are legal for Eval; keep the batched form
-			// bit-identical without mutating the caller's slice.
-			for l, x := range xs {
-				out[l] = poly.Eval(x)
-			}
-			return
-		}
-	}
 	m := barrettM(p)
 	for l := range out {
 		out[l] = 0
-	}
-	if n >= evalChunkMin {
-		poly.evalManyChunked(xs, out, p, m)
-		return
 	}
 	for b := (n - 1) >> 3; b >= 0; b-- {
 		hi := 8*b + 7
@@ -343,38 +340,6 @@ func (poly Poly) EvalMany(xs, out []uint64) {
 			for l := range out {
 				out[l] = barrettReduce(out[l]*xs[l]+bit, p, m)
 			}
-		}
-	}
-}
-
-// evalManyChunked is the batched form of evalChunked: one nibble table per
-// lane, then a single coefficient walk feeding every lane's Horner chain
-// four coefficients per step. Results equal the bit-at-a-time walk exactly.
-func (poly Poly) evalManyChunked(xs, out []uint64, p, m uint64) {
-	n := poly.bits.Len()
-	tabs := make([][17]uint64, len(xs))
-	for l, x := range xs {
-		nibTable(x, p, m, &tabs[l])
-	}
-	head := n & 3
-	for i := n - 1; i >= n-head; i-- {
-		bit := uint64(poly.bits.Bit(i))
-		for l := range out {
-			out[l] = barrettReduce(out[l]*xs[l]+bit, p, m)
-		}
-	}
-	for g := (n-head)/4 - 1; g >= 0; g-- {
-		b := poly.bits.ByteAt(g >> 1)
-		var nib byte
-		if g&1 == 0 {
-			nib = b >> 4
-		} else {
-			nib = b & 0xF
-		}
-		c := revNib[nib]
-		for l := range out {
-			t := &tabs[l]
-			out[l] = barrettReduce(out[l]*t[16]+t[c], p, m)
 		}
 	}
 }

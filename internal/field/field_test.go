@@ -1,6 +1,8 @@
 package field
 
 import (
+	"bytes"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -309,4 +311,167 @@ func TestPrimeForLengthCached(t *testing.T) {
 			t.Fatalf("cached PrimeForLength(%d) = %d, want %d", lambda, got, want)
 		}
 	}
+}
+
+// refEval is the oracle for Eval: Horner's rule one coefficient at a time
+// through MulMod and AddMod, sharing no code with the evaluation paths.
+func refEval(s bitstring.String, p, x uint64) uint64 {
+	acc := uint64(0)
+	for i := s.Len() - 1; i >= 0; i-- {
+		acc = AddMod(MulMod(acc, x, p), uint64(s.Bit(i)), p)
+	}
+	return acc
+}
+
+// onesAround returns content framed by 1 bits: lo of them before it and
+// 17 after, so a constructor cutting content out that left stray bits past
+// Len in its storage would change what a kernel reading whole bytes sees.
+func onesAround(content []byte, lo int) bitstring.String {
+	raw := make([]byte, lo+len(content)+17)
+	for i := range raw {
+		raw[i] = 1
+	}
+	copy(raw[lo:], content)
+	return bitstring.FromBits(raw)
+}
+
+// TestEvalMatchesReference checks Eval and EvalMany against refEval at
+// every length 0..600 — across the block, byte-padding, evalChunkMin and
+// lazy-window boundaries — for small, scheme-sized, near-2³¹ and 128-bit
+// moduli, at reduced and unreduced points, on strings cut by Truncate,
+// Slice and ReadStringInto out of all-ones strings.
+func TestEvalMatchesReference(t *testing.T) {
+	rng := prng.New(15)
+	fixed := []uint64{2, 3, 5, 7, 61, 65521, 1<<31 - 1, 2147483629, NextPrime(1 << 40)}
+	for n := 0; n <= 600; n++ {
+		content := make([]byte, n)
+		for i := range content {
+			content[i] = rng.Bit()
+		}
+		lo := 1 + rng.Intn(15)
+		truncated := onesAround(content, 0).Truncate(n)
+		sliced := onesAround(content, lo).Slice(lo, lo+n)
+		r := bitstring.NewReader(onesAround(content, lo))
+		if _, err := r.ReadString(lo); err != nil {
+			t.Fatal(err)
+		}
+		read, err := r.ReadStringInto(n, bytes.Repeat([]byte{0xFF}, (n+7)/8+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range append([]uint64{PrimeForLength(n)}, fixed...) {
+			xs := []uint64{0, 1, p - 1, rng.Uint64n(p), rng.Uint64n(p), p + rng.Uint64n(p), rng.Uint64()}
+			want := make([]uint64, len(xs))
+			for k, x := range xs {
+				want[k] = refEval(truncated, p, x)
+			}
+			for name, s := range map[string]bitstring.String{"Truncate": truncated, "Slice": sliced, "ReadStringInto": read} {
+				poly := NewPoly(s, p)
+				for k, x := range xs {
+					if got := poly.Eval(x); got != want[k] {
+						t.Fatalf("%s n=%d p=%d: Eval(%d) = %d, want %d", name, n, p, x, got, want[k])
+					}
+				}
+				for _, width := range []int{1, 2, 3, 5, 64} {
+					pts := make([]uint64, width)
+					for k := range pts {
+						pts[k] = xs[(k+width)%len(xs)]
+					}
+					out := make([]uint64, width)
+					poly.EvalMany(pts, out)
+					for k := range pts {
+						if w := want[(k+width)%len(xs)]; out[k] != w {
+							t.Fatalf("%s n=%d p=%d width=%d: EvalMany point %d (x=%d) = %d, want %d",
+								name, n, p, width, k, pts[k], out[k], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBarrettReduceExact pins barrettReduce at the top of the 64-bit range
+// and at the largest value the kernel's lazy window can hand it, p^(k+1)−1
+// with k = lazySteps[b], for the smallest and largest prime of every
+// modulus width b from 2 to 31.
+func TestBarrettReduceExact(t *testing.T) {
+	for b := 2; b <= 31; b++ {
+		largest := uint64(1)<<b - 1
+		for !IsPrime(largest) {
+			largest--
+		}
+		for _, p := range []uint64{NextPrime(1 << (b - 1)), largest} {
+			m := barrettM(p)
+			k := lazySteps[bits.Len64(p)]
+			pow := uint64(1)
+			for i := 0; i <= k; i++ {
+				hi, lo := bits.Mul64(pow, p)
+				if hi != 0 {
+					t.Fatalf("p=%d (width %d): p^%d exceeds 2^64, lazy window k=%d too wide", p, b, i+1, k)
+				}
+				pow = lo
+			}
+			for _, z := range []uint64{^uint64(0), pow - 1, pow - 2, p*p - 1, p, p - 1} {
+				if got := barrettReduce(z, p, m); got != z%p {
+					t.Errorf("barrettReduce(%d, %d) = %d, want %d", z, p, got, z%p)
+				}
+			}
+		}
+	}
+}
+
+// fuzzBits is the fuzzers' string: the first n bits of data, or all of
+// them when n is out of range. Truncate zeroes the padding past n.
+func fuzzBits(data []byte, n int) bitstring.String {
+	if n < 0 || n > 8*len(data) {
+		n = 8 * len(data)
+	}
+	return bitstring.FromBytes(data).Truncate(n)
+}
+
+// FuzzPolyEval checks Eval against refEval, and EvalMany on [x, x+p, x]
+// against Eval, for fuzzer-chosen strings, points and moduli. The modulus
+// is the next prime of a value clamped to [2, 2³¹+2¹⁰], so the kernel, the
+// short-string walks and the 128-bit path above 2³¹ are all reached.
+func FuzzPolyEval(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, n int, pRaw, x uint64) {
+		s := fuzzBits(data, n)
+		p := NextPrime(min(max(pRaw, 2), 1<<31+1<<10))
+		poly := NewPoly(s, p)
+		want := poly.Eval(x)
+		if ref := refEval(s, p, x); want != ref {
+			t.Fatalf("n=%d p=%d: Eval(%d) = %d, reference %d", s.Len(), p, x, want, ref)
+		}
+		xs := []uint64{x, x + p, x}
+		out := make([]uint64, len(xs))
+		poly.EvalMany(xs, out)
+		for k, xk := range xs {
+			if e := poly.Eval(xk); out[k] != e {
+				t.Fatalf("n=%d p=%d: EvalMany point %d (x=%d) = %d, Eval %d", s.Len(), p, k, xk, out[k], e)
+			}
+		}
+	})
+}
+
+// FuzzDecodeFingerprint feeds DecodeFingerprint arbitrary bits under an
+// arbitrary modulus. It must not panic, and what it accepts must be a
+// field element pair whose Encode reproduces exactly the bits consumed.
+func FuzzDecodeFingerprint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, n int, p uint64) {
+		s := fuzzBits(data, n)
+		r := bitstring.NewReader(s)
+		fp, err := DecodeFingerprint(r, p)
+		if err != nil {
+			return
+		}
+		if fp.X >= p || fp.Y >= p || fp.P != p {
+			t.Fatalf("accepted (%d, %d) with P=%d outside GF(%d)", fp.X, fp.Y, fp.P, p)
+		}
+		var w bitstring.Writer
+		fp.Encode(&w)
+		if consumed := s.Truncate(s.Len() - r.Remaining()); !w.String().Equal(consumed) {
+			t.Fatalf("Encode = %v, consumed %v", w.String(), consumed)
+		}
+	})
 }

@@ -140,8 +140,8 @@ func (r randRPLS) Certs(view core.View, _ core.Label, rng *prng.Rand) []core.Cer
 var _ core.LaneRPLS = randRPLS{}
 
 // CertsLanes implements core.LaneRPLS: the payload's polynomial is shared
-// by every lane and port, so one batched evaluation replaces
-// lanes × deg Horner walks.
+// by every lane and port, so all lanes × deg points go through one
+// EvalCache call — a table lookup once the batch is wide enough.
 func (r randRPLS) CertsLanes(view core.View, _ core.Label, rngs []*prng.Rand, out [][]core.Cert) {
 	data := bitstring.FromBytes(view.State.Data)
 	core.FingerprintLanes(data, r.prime(data.Len()), rngs, view.Deg, r.cache, out)
