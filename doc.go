@@ -20,12 +20,12 @@
 //
 //   - internal/engine     — the verification API: the unified Scheme
 //     abstraction (one round shape for both models), one round kernel
-//     (Sequential: t >= 1 lockstep rounds, the classic round being t = 1)
+//     (Sequential: any t >= 1 rounds, the classic round being t = 1)
 //     and its 64-lane bit-plane wide mode (Batched), with exact wire
-//     accounting (bits per port per round, identical across executors), the
-//     MultiRound extension running t-round verification with round-indexed
-//     metering (engine.Shard wraps
-//     any registered scheme via core.ShardCompile / core.ShardPLS), the
+//     accounting (bits per port per round, identical across executors),
+//     t-round verification (engine.Shard wraps any registered scheme: each
+//     node derives its strings once per trial and the kernel meters each
+//     as the t shards of core.Shard's ⌈κ/t⌉-bit layout), the
 //     trial-parallel Run / Estimate /
 //     Soundness / Sweep batch entry points (Wilson confidence intervals,
 //     early stopping, bit-identical summaries at every parallelism level),

@@ -71,8 +71,8 @@ type Spec struct {
 	Measures []string     `json:"measures"`
 	// Rounds is the t-PLS verification-round axis: each cell runs its
 	// scheme variant sharded over t rounds of ⌈κ/t⌉ bits per port
-	// (core.ShardCompile / core.ShardPLS). Empty selects [1], the classic
-	// single round; every entry must be >= 1.
+	// (engine.Shard, under core.Shard's layout). Empty selects [1], the
+	// classic single round; every entry must be >= 1.
 	Rounds []int `json:"rounds,omitempty"`
 	// Multiplicity is the congestion axis: each cell caps the number of
 	// distinct messages a node may mint per round at m (engine

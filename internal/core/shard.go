@@ -1,11 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"rpls/internal/bitstring"
-	"rpls/internal/graph"
-	"rpls/internal/prng"
 )
 
 // Multi-round verification (the t-PLS space–time tradeoff).
@@ -14,10 +10,10 @@ import (
 // bandwidth: a scheme with verification complexity κ can spread its strings
 // over t rounds, sending only ⌈κ/t⌉ bits per port per round (sharpened by
 // Patt-Shamir & Perry and nearly resolved by Filtser & Fischer in the t-PLS
-// model). ShardCompile and ShardPLS implement the constructive direction of
-// that tradeoff: any one-round scheme becomes a t-round scheme by slicing
-// each per-port string into t round-shards and folding the reassembled
-// strings through the original decision at the end.
+// model). Any one-round scheme becomes a t-round scheme by slicing each
+// per-port string into t round-shards and folding the reassembled strings
+// through the original decision at the end; engine.Shard runs that
+// construction, and this file fixes its layout.
 //
 // The shard layout is fixed and self-describing: for a base string of L
 // bits, the shard width is s = ShardWidth(L, t) = ⌈L/t⌉ and round r carries
@@ -28,49 +24,15 @@ import (
 // The receiver therefore needs no per-round bookkeeping beyond appending
 // what arrived, and the final decision is the unmodified base decision.
 
-// MultiRPLS is a t-round proof-labeling scheme: the prover is unchanged,
-// but verification spans Rounds() synchronous rounds. In round r every node
-// derives one string per port from its label and private coins
-// (RoundCerts); after the final round it decides from the per-port
-// concatenation, in round order, of everything that arrived on that port.
-//
-// The coin contract makes RoundCerts stateless: the executor hands every
-// round the same freshly re-created stream for the node (the coins of trial
-// seed are prng.New(seed).Fork(v) in every round), so an implementation
-// re-derives its base certificates identically each round and slices out
-// the round's shard. Per-round state therefore lives nowhere — which is
-// exactly what keeps t-round execution deterministic across executors and
-// parallelism levels.
-type MultiRPLS interface {
-	Prover
-	// Name identifies the scheme in reports.
-	Name() string
-	// Rounds is the number of verification rounds t >= 1.
-	Rounds() int
-	// RoundCerts generates the round-r string for every port (index i =
-	// port i+1). The rng stream is identical for every round of one trial.
-	RoundCerts(round int, view View, own Label, rng *prng.Rand) []Cert
-	// Decide is the node's output given, per port, the concatenation of the
-	// strings received on that port across all rounds.
-	Decide(view View, own Label, received []Cert) bool
-	// OneSided reports whether legal, honestly labeled configurations are
-	// accepted with probability 1.
-	OneSided() bool
-}
-
-// CoinFree is implemented by multi-round schemes whose rounds draw no
-// coins (a sharded deterministic scheme): one trial measures them exactly.
-type CoinFree interface {
-	CoinFree() bool
-}
-
 // ShardWidth is the per-round shard width for a base string of `bits` bits
 // spread over `rounds` rounds: ⌈bits/rounds⌉, and 0 for an empty string.
+// It is computed as (bits−1)/rounds + 1 so that no round count, however
+// large, overflows.
 func ShardWidth(bits, rounds int) int {
 	if bits <= 0 || rounds <= 0 {
 		return 0
 	}
-	return (bits + rounds - 1) / rounds
+	return (bits-1)/rounds + 1
 }
 
 // Shard returns round r's slice of the base string under the fixed layout:
@@ -79,94 +41,4 @@ func ShardWidth(bits, rounds int) int {
 func Shard(base bitstring.String, round, rounds int) bitstring.String {
 	s := ShardWidth(base.Len(), rounds)
 	return base.Slice(round*s, (round+1)*s)
-}
-
-// checkRounds validates a shard-compilation round count: t = 0 (and any
-// negative t) is rejected — a zero-round scheme verifies nothing — while
-// t > κ is legal and simply makes the late rounds empty.
-func checkRounds(name string, t int) error {
-	if t < 1 {
-		return fmt.Errorf("core: shard %s into %d rounds: need t >= 1", name, t)
-	}
-	return nil
-}
-
-// ShardCompile turns a one-round randomized scheme into a t-round scheme
-// sending ⌈κ/t⌉ bits per port per round. Labels, coins, acceptance, and
-// one-sidedness are exactly the base scheme's: round r re-derives the base
-// certificates from the (per-round identical) coin stream and sends their
-// r-th shards, and the receiver's concatenation reconstructs the base
-// certificates bit for bit before the base decision runs.
-func ShardCompile(s RPLS, t int) (MultiRPLS, error) {
-	if err := checkRounds(s.Name(), t); err != nil {
-		return nil, err
-	}
-	return &shardRPLS{base: s, rounds: t}, nil
-}
-
-type shardRPLS struct {
-	base   RPLS
-	rounds int
-}
-
-func (s *shardRPLS) Name() string {
-	return fmt.Sprintf("%s+shard%d", s.base.Name(), s.rounds)
-}
-
-func (s *shardRPLS) Rounds() int                            { return s.rounds }
-func (s *shardRPLS) OneSided() bool                         { return s.base.OneSided() }
-func (s *shardRPLS) Label(c *graph.Config) ([]Label, error) { return s.base.Label(c) }
-func (s *shardRPLS) RoundCerts(round int, view View, own Label, rng *prng.Rand) []Cert {
-	certs := s.base.Certs(view, own, rng)
-	out := make([]Cert, view.Deg)
-	for i := range out {
-		if i < len(certs) {
-			out[i] = Shard(certs[i], round, s.rounds)
-		}
-	}
-	return out
-}
-
-func (s *shardRPLS) Decide(view View, own Label, received []Cert) bool {
-	return s.base.Decide(view, own, received)
-}
-
-// ShardPLS turns a deterministic scheme into a t-round scheme: the
-// one-round deterministic convention ships the node's label on every port,
-// so round r ships the label's r-th shard and the receiver reassembles its
-// neighbors' labels before the base Verify runs. The rounds draw no coins
-// (CoinFree), so one trial still measures the scheme exactly; the per-port
-// cost drops from κ = max label bits to ⌈κ/t⌉ per round.
-func ShardPLS(p PLS, t int) (MultiRPLS, error) {
-	if err := checkRounds(p.Name(), t); err != nil {
-		return nil, err
-	}
-	return &shardPLS{base: p, rounds: t}, nil
-}
-
-type shardPLS struct {
-	base   PLS
-	rounds int
-}
-
-func (s *shardPLS) Name() string {
-	return fmt.Sprintf("%s+shard%d", s.base.Name(), s.rounds)
-}
-
-func (s *shardPLS) Rounds() int                            { return s.rounds }
-func (s *shardPLS) OneSided() bool                         { return true }
-func (s *shardPLS) CoinFree() bool                         { return true }
-func (s *shardPLS) Label(c *graph.Config) ([]Label, error) { return s.base.Label(c) }
-
-func (s *shardPLS) RoundCerts(round int, view View, own Label, _ *prng.Rand) []Cert {
-	shard := Shard(own, round, s.rounds)
-	out := make([]Cert, view.Deg)
-	for i := range out {
-		out[i] = shard
-	}
-	return out
-}
-
-func (s *shardPLS) Decide(view View, own Label, received []Cert) bool {
-	return s.base.Verify(view, own, received)
 }

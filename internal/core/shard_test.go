@@ -1,14 +1,12 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
-	"rpls/internal/graph"
 	"rpls/internal/prng"
-	"rpls/internal/schemes/spanningtree"
-	"rpls/internal/schemes/uniform"
 )
 
 func randomString(bits int, rng *prng.Rand) bitstring.String {
@@ -54,131 +52,32 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
-// TestShardCompileRejectsBadRounds pins the t = 0 contract: zero and
-// negative round counts are rejected by both compilers, while t > κ is
-// legal (the late rounds just carry empty shards).
-func TestShardCompileRejectsBadRounds(t *testing.T) {
-	for _, bad := range []int{0, -1, -100} {
-		if _, err := core.ShardCompile(uniform.NewRPLS(), bad); err == nil {
-			t.Errorf("ShardCompile(t=%d) accepted, want error", bad)
-		}
-		if _, err := core.ShardPLS(spanningtree.NewPLS(), bad); err == nil {
-			t.Errorf("ShardPLS(t=%d) accepted, want error", bad)
-		}
-	}
-	if _, err := core.ShardCompile(uniform.NewRPLS(), 1_000_000); err != nil {
-		t.Errorf("ShardCompile(t≫κ): %v, want accepted", err)
-	}
-}
-
-// TestShardPLSReassemblesLabels runs a sharded deterministic scheme by hand
-// for one node: concatenating the per-round broadcasts of each neighbor
-// must reconstruct that neighbor's label, and the final Decide is the base
-// verifier's verdict on the reassembled labels.
-func TestShardPLSReassemblesLabels(t *testing.T) {
-	cfg := graph.NewConfig(graph.RandomTree(12, prng.New(3)))
-	base := spanningtree.NewPLS()
-	for v, p := range cfg.G.SpanningTreeParents(0) {
-		cfg.States[v].Parent = p
-	}
-	cfg.AssignRandomIDs(prng.New(4))
-	labels, err := base.Label(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 3
-	sharded, err := core.ShardPLS(base, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sharded.OneSided() || sharded.Rounds() != rounds {
-		t.Fatalf("sharded scheme: one-sided=%v rounds=%d", sharded.OneSided(), sharded.Rounds())
-	}
-	cf, ok := sharded.(core.CoinFree)
-	if !ok || !cf.CoinFree() {
-		t.Fatal("a sharded deterministic scheme must declare itself coin-free")
-	}
-	for v := 0; v < cfg.G.N(); v++ {
-		view := core.ViewOf(cfg, v)
-		recv := make([]core.Cert, view.Deg)
-		for i, h := range cfg.G.Adj(v) {
-			nview := core.ViewOf(cfg, h.To)
-			var parts []bitstring.String
-			for r := 0; r < rounds; r++ {
-				msgs := sharded.RoundCerts(r, nview, labels[h.To], prng.New(1))
-				parts = append(parts, msgs[h.RevPort-1])
-			}
-			recv[i] = bitstring.Concat(parts...)
-			if !recv[i].Equal(labels[h.To]) {
-				t.Fatalf("node %d port %d: reassembled %q != neighbor label %q", v, i+1, recv[i], labels[h.To])
-			}
-		}
-		if !sharded.Decide(view, labels[v], recv) {
-			t.Fatalf("node %d rejects honest reassembled labels", v)
-		}
-	}
-}
-
-// TestShardCompilePreservesCerts checks the randomized compiler's coin
-// contract: with the per-round identical rng stream, the round shards of
-// each port concatenate back to exactly the base certificate of that draw.
-func TestShardCompilePreservesCerts(t *testing.T) {
-	cfg := graph.NewConfig(graph.Complete(6))
-	base := uniform.NewRPLS()
-	payload := []byte{0xde, 0xad, 0xbe, 0xef}
-	for v := range cfg.States {
-		d := make([]byte, len(payload))
-		copy(d, payload)
-		cfg.States[v].Data = d
-	}
-	labels, err := base.Label(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rounds := range []int{1, 2, 4, 7, 1000} {
-		sharded, err := core.ShardCompile(base, rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < cfg.G.N(); v++ {
-			view := core.ViewOf(cfg, v)
-			want := base.Certs(view, labels[v], prng.New(11).Fork(uint64(v)))
-			for port := 0; port < view.Deg; port++ {
-				var parts []bitstring.String
-				for r := 0; r < rounds; r++ {
-					msgs := sharded.RoundCerts(r, view, labels[v], prng.New(11).Fork(uint64(v)))
-					parts = append(parts, msgs[port])
-				}
-				if got := bitstring.Concat(parts...); !got.Equal(want[port]) {
-					t.Fatalf("rounds=%d node %d port %d: reassembled cert differs from base draw", rounds, v, port)
-				}
-			}
-		}
-	}
-}
-
-// FuzzShardReassembly fuzzes the round-count edge cases: any t >= 1 must
-// reassemble any string exactly under the fixed layout with per-shard
-// width ⌈L/t⌉, and t <= 0 must be rejected by the compilers.
+// FuzzShardReassembly fuzzes the layout's round-count edge cases: any
+// t >= 1 must reassemble any string exactly under the fixed layout with
+// per-shard width ⌈L/t⌉, and t <= 0 has width 0. That engine.Shard
+// rejects t <= 0 is fuzzed by the engine's FuzzShardRounds.
 func FuzzShardReassembly(f *testing.F) {
 	f.Add([]byte{0xa5, 0x0f}, 13, 3)
 	f.Add([]byte{}, 0, 1)
 	f.Add([]byte{0xff}, 8, 100) // t > κ
-	f.Add([]byte{0x01}, 5, 0)   // t = 0 rejected
+	f.Add([]byte{0x01}, 5, 0)   // t = 0
 	f.Add([]byte{0x80, 0x01}, 9, -4)
+	f.Add([]byte{0x3c}, 6, math.MaxInt) // t + L overflows int
 	f.Fuzz(func(t *testing.T, data []byte, bits, rounds int) {
 		if bits < 0 || bits > 8*len(data) {
 			bits = 8 * len(data)
 		}
 		base := bitstring.FromBytes(data).Truncate(bits)
 		if rounds < 1 {
-			if _, err := core.ShardPLS(spanningtree.NewPLS(), rounds); err == nil {
-				t.Fatalf("ShardPLS accepted t=%d", rounds)
-			}
-			if _, err := core.ShardCompile(uniform.NewRPLS(), rounds); err == nil {
-				t.Fatalf("ShardCompile accepted t=%d", rounds)
+			if w := core.ShardWidth(base.Len(), rounds); w != 0 {
+				t.Fatalf("ShardWidth(%d, %d) = %d, want 0", base.Len(), rounds, w)
 			}
 			return
+		}
+		if base.Len() > 0 && rounds >= base.Len() {
+			if w := core.ShardWidth(base.Len(), rounds); w != 1 {
+				t.Fatalf("ShardWidth(%d, %d) = %d, want 1 for t >= L", base.Len(), rounds, w)
+			}
 		}
 		if rounds > 1<<16 {
 			rounds = 1 + rounds%(1<<16)

@@ -28,18 +28,18 @@ type capScheme struct {
 
 // withCap wraps s to respect multiplicity cap m. m <= 0 (uncapped) and
 // deterministic schemes return s unchanged, so the classic engine is the
-// degenerate point of the axis, bit for bit.
+// degenerate point of the axis, bit for bit. The cap applies once per
+// trial to whole strings, before any sharding: a capped t-round scheme
+// replicates its class strings and the shard layout then splits them, so
+// every round of one port carries a shard of the same string. Native
+// degradation (core.CappedRPLS) stays single-round: a sharded scheme is
+// no FromRPLS adapter, so it takes the CapReplicate path.
 func withCap(s Scheme, m int) Scheme {
 	if m <= 0 || s.Deterministic() {
 		return s
 	}
 	w := capScheme{inner: s, m: m}
-	// Native degradation applies to single-round schemes only: the t-PLS
-	// shard wrapper re-chunks the wire format, so a sharded scheme always
-	// takes the CapReplicate path (Rounds(s) > 1 never reaches here via
-	// AsRPLS, but guard it anyway — a mismatch would desync CapDecide from
-	// the replicated unicast format RoundCerts emits).
-	if r, ok := AsRPLS(s); ok && Rounds(s) == 1 {
+	if r, ok := AsRPLS(s); ok {
 		if cr, ok := r.(core.CappedRPLS); ok {
 			w.capped = cr
 		}
@@ -78,22 +78,6 @@ func (w capScheme) Decide(view core.View, own core.Label, received []core.Cert) 
 		return w.capped.CapDecide(w.m, view, own, received)
 	}
 	return w.inner.Decide(view, own, received)
-}
-
-// Rounds delegates the t-PLS hook, so capping composes with sharding (the
-// cap is applied per round: every round's shard vector is class-uniform).
-func (w capScheme) Rounds() int {
-	if mr, ok := w.inner.(MultiRound); ok {
-		return mr.Rounds()
-	}
-	return 1
-}
-
-func (w capScheme) RoundCerts(round int, view core.View, own core.Label, rng *prng.Rand) []core.Cert {
-	if mr, ok := w.inner.(MultiRound); ok {
-		return core.CapReplicate(mr.RoundCerts(round, view, own, rng), w.m)
-	}
-	return w.Certs(view, own, rng)
 }
 
 // distinctCount is the structural distinct-message count of one node in

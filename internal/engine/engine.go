@@ -12,11 +12,12 @@
 //
 // The engine has one round kernel and one wide mode of it:
 //
-//   - Sequential — the round kernel: one Round runs t >= 1 lockstep rounds
-//     (the classic round is t = 1), meters every message through one
-//     function, and reuses its cert and receive buffers across rounds, so
-//     the deterministic single round allocates nothing (Monte-Carlo
-//     estimation, self-stabilization monitors, benchmarks).
+//   - Sequential — the round kernel: one Round runs a scheme's t >= 1
+//     rounds (the classic round is t = 1) from strings derived once per
+//     node, meters every message through one function, and reuses its cert
+//     and receive buffers across rounds, so the deterministic single round
+//     allocates nothing (Monte-Carlo estimation, self-stabilization
+//     monitors, benchmarks).
 //   - Batched — the kernel's wide mode for Monte-Carlo throughput: a CSR
 //     adjacency snapshot plus per-port certificate bit-planes push up to 64
 //     trials of a lane-aware single-round scheme through one graph

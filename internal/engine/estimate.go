@@ -207,18 +207,41 @@ scan:
 	return sum
 }
 
-// prepare returns s answering Certs and Decide from per-node state built
-// once for this estimate, when s is an uncapped single-round FromRPLS
-// adapter whose RPLS implements core.Preparer; otherwise s itself. It
-// leaves s alone when Batched's lanes will run every trial: they already
-// parse once per batch. The prepared nodes live for one estimate only —
-// configurations are mutated in place between calls (see scratch.ensure),
-// so they are never memoized on the scheme or the executor.
+// prepare returns s with its base FromRPLS adapter answering Certs and
+// Decide from per-node state built once for this estimate, when that
+// adapter's RPLS implements core.Preparer; otherwise s itself (see
+// prepareBase). s is left alone when Batched's lanes will run every
+// trial: they already parse once per batch. That check is made once, on
+// the scheme the executor receives, and not again under the wrappers:
+// Batched runs sharded schemes on its embedded kernel, so those must be
+// prepared. The prepared nodes live for one estimate only —
+// configurations are mutated in place between calls (see
+// scratch.ensure), so they are never memoized on the scheme or the
+// executor.
 func prepare(s Scheme, c *graph.Config, labels []core.Label, exec Executor) Scheme {
 	if _, ok := exec.(*Batched); ok {
 		if _, _, lanes := laneScheme(s); lanes {
 			return s
 		}
+	}
+	return prepareBase(s, c, labels)
+}
+
+// prepareBase prepares the FromRPLS adapter under s. Sharding and
+// replication only reframe the base strings, so those wrappers stay around
+// the prepared base. A natively capped scheme answers through
+// CapCerts/CapDecide, which a prepared node does not implement, so it
+// keeps the label path, as does every other shape.
+func prepareBase(s Scheme, c *graph.Config, labels []core.Label) Scheme {
+	switch w := s.(type) {
+	case sharded:
+		w.Scheme = prepareBase(w.Scheme, c, labels)
+		return w
+	case capScheme:
+		if w.capped == nil {
+			w.inner = prepareBase(w.inner, c, labels)
+		}
+		return w
 	}
 	r, ok := AsRPLS(s)
 	if !ok {

@@ -3,7 +3,6 @@ package engine
 import (
 	"strings"
 
-	"rpls/internal/bitstring"
 	"rpls/internal/core"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
@@ -155,16 +154,35 @@ func (st *Stats) meter(b, k int) {
 	}
 }
 
-// sendStats accumulates the cost of everything node v puts on the wire in
-// one round. It only bumps scalar counters on the caller's Stats. mult is
-// the scheme's multiplicity cap (0 = unconstrained); the structural
-// distinct-message count is derived from it, never from payload bytes.
+// meterShards accounts one b-bit string sent as the t >= 1 shards of
+// core.Shard's layout, one per round: the widest shard, of
+// w = core.ShardWidth(b, t) bits, is metered as a message and the other
+// b − w bits join the wire total. That is exactly what metering each
+// materialized shard through meter(len, 1) gives, since no shard is wider
+// than the first; t = 1 is meter(b, 1).
 //
 //pls:hotpath
-func sendStats(det bool, mult int, c *graph.Config, labels []core.Label, certs []core.Cert, v int, st *Stats) {
+func (st *Stats) meterShards(b, t int) {
+	w := b
+	if t > 1 {
+		w = core.ShardWidth(b, t)
+	}
+	st.meter(w, 1)
+	st.TotalWireBits += int64(b - w)
+}
+
+// sendStats accumulates the cost of everything node v puts on the wire in
+// one trial of t rounds. It only bumps scalar counters on the caller's
+// Stats. mult is the scheme's multiplicity cap (0 = unconstrained); the
+// structural distinct-message count is derived from it, never from
+// payload bytes. Every string is sent as t shards, so each port carries t
+// messages and the distinct count is per round.
+//
+//pls:hotpath
+func sendStats(det bool, mult, rounds int, c *graph.Config, labels []core.Label, certs []core.Cert, v int, st *Stats) {
 	deg := c.G.Degree(v)
-	st.Messages += deg
-	st.DistinctMessages += distinctCount(det, mult, deg)
+	st.Messages += rounds * deg
+	st.DistinctMessages += int64(rounds) * distinctCount(det, mult, deg)
 	if det {
 		// The message on every port is the node's label: κ (Definition 2.1)
 		// is the largest label actually transmitted, not zero.
@@ -175,7 +193,7 @@ func sendStats(det bool, mult int, c *graph.Config, labels []core.Label, certs [
 		certs = certs[:deg]
 	}
 	for _, cert := range certs {
-		st.meter(cert.Len(), 1)
+		st.meterShards(cert.Len(), rounds)
 	}
 }
 
@@ -194,22 +212,21 @@ func (e *Sequential) Name() string { return "sequential" }
 // Clone implements Executor: a fresh sequential executor with empty scratch.
 func (e *Sequential) Clone() Executor { return NewSequential() }
 
-// Round implements Executor as the t-round lockstep, the classic round of
-// §2.1 being t = 1. Per round, every node derives its strings — its label
-// on every port for a deterministic single-round scheme, otherwise
-// certificates from the coin stream prng.New(seed).Fork(v), identical in
-// every round of one call — and sendStats meters them at the sender.
-// A t = 1 round gathers each receiver's window straight from the senders'
-// port slots and decides; a t > 1 round appends each port's string to its
-// directed edge's shard list (allocated per call), and after the last
-// round every node decides from the per-port concatenations in round
-// order. Node v's view is always core.ViewOf(c, v), passed beside
-// labels[v]: the estimator's prepared schemes index their per-node state
-// by view.Node (see preparedScheme). The deterministic t = 1 round is the
-// zero-alloc hot path: the plsvet hotalloc analyzer rejects allocating
-// constructs in every //pls:hotpath function at the AST level,
-// TestSequentialRoundAllocs asserts the warm round allocates nothing, and
-// the benchgate allocation band locks the measured steady state in CI.
+// Round implements Executor for every t >= 1, the classic round of §2.1
+// being t = 1. Every node derives its strings once — its label on every
+// port for a deterministic scheme, otherwise certificates from the coin
+// stream prng.New(seed).Fork(v) — and sendStats meters them at the
+// sender, each string as the t shards of core.Shard's layout. Each
+// receiver's window is then gathered straight from the senders' port
+// slots — for t > 1 the whole string is bit for bit the round-order
+// concatenation of its shards — and the node decides. Node v's view is
+// always core.ViewOf(c, v), passed beside labels[v]: the estimator's
+// prepared schemes index their per-node state by view.Node (see
+// preparedScheme). The deterministic round is the zero-alloc hot path:
+// the plsvet hotalloc analyzer rejects allocating constructs in every
+// //pls:hotpath function at the AST level, TestSequentialRoundAllocs
+// asserts the warm round allocates nothing, and the benchgate allocation
+// band locks the measured steady state in CI.
 //
 //pls:hotpath
 func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
@@ -217,80 +234,20 @@ func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed 
 	e.sc.ensure(c.G)
 	t := Rounds(s)
 	st := Stats{Rounds: t, MaxLabelBits: core.MaxBits(labels)}
-	// A t-round scheme always sends RoundCerts strings (a sharded
-	// deterministic label travels as shards), so only the classic round
-	// broadcasts labels.
-	det, mult := t == 1 && s.Deterministic(), Multiplicity(s)
-	var mr MultiRound
-	var shards shardAcc
-	if t > 1 {
-		mr = s.(MultiRound)
-		shards = newShardAcc(e.sc.offs[n], t)
-	}
+	det, mult := s.Deterministic(), Multiplicity(s)
 	var root *prng.Rand
 	if !det {
 		root = prng.New(seed)
 	}
-	for r := 0; r < t; r++ {
+	for v := 0; v < n; v++ {
 		if !det {
-			for v := 0; v < n; v++ {
-				if mr != nil {
-					e.sc.certs[v] = mr.RoundCerts(r, core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
-				} else {
-					e.sc.certs[v] = s.Certs(core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
-				}
-			}
+			e.sc.certs[v] = s.Certs(core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
 		}
-		for v := 0; v < n; v++ {
-			sendStats(det, mult, c, labels, e.sc.certs[v], v, &st)
-		}
-		if mr != nil {
-			for v := 0; v < n; v++ {
-				shards.gather(&e.sc, c, v)
-			}
-		}
+		sendStats(det, mult, t, c, labels, e.sc.certs[v], v, &st)
 	}
 	for v := 0; v < n; v++ {
-		var recv []core.Cert
-		if mr != nil {
-			recv = shards.reassemble(&e.sc, v)
-		} else {
-			recv = e.sc.gather(det, c, labels, v)
-		}
+		recv := e.sc.gather(det, c, labels, v)
 		e.sc.votes[v] = s.Decide(core.ViewOf(c, v), labels[v], recv)
 	}
 	return e.sc.votes, st
-}
-
-// shardAcc accumulates, per directed edge, the strings received across the
-// rounds of a multi-round execution, in round order.
-type shardAcc [][]core.Cert
-
-func newShardAcc(edges, rounds int) shardAcc {
-	acc := make(shardAcc, edges)
-	for i := range acc {
-		acc[i] = make([]core.Cert, 0, rounds)
-	}
-	return acc
-}
-
-// gather appends the current round's messages arriving at node v (read
-// from the senders' cert slices) to v's windows.
-func (acc shardAcc) gather(sc *scratch, c *graph.Config, v int) {
-	recv := sc.gather(false, c, nil, v)
-	base := sc.offs[v]
-	for i, msg := range recv {
-		acc[base+i] = append(acc[base+i], msg)
-	}
-}
-
-// reassemble concatenates each of v's per-port shard lists, in round
-// order, into v's receive window and returns it.
-func (acc shardAcc) reassemble(sc *scratch, v int) []core.Cert {
-	recv := sc.window(v)
-	base := sc.offs[v]
-	for i := range recv {
-		recv[i] = bitstring.Concat(acc[base+i]...)
-	}
-	return recv
 }

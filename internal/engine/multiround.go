@@ -1,107 +1,44 @@
 package engine
 
-import (
-	"fmt"
+import "fmt"
 
-	"rpls/internal/core"
-	"rpls/internal/graph"
-	"rpls/internal/prng"
-)
+// Multi-round (t-PLS) verification. A sharded scheme spreads its per-port
+// strings over t synchronous rounds of ⌈κ/t⌉ bits per port under
+// core.Shard's fixed layout. The contract is "once per trial": in trial
+// seed, node v derives its strings once, from prng.New(seed).Fork(v),
+// exactly as the base scheme would in one round. The round kernel
+// (Sequential.Round) meters each L-bit string as the t shards of that
+// layout — t messages, L wire bits, and a widest shard of
+// core.ShardWidth(L, t) bits (see Stats.meterShards) — and hands Decide
+// the whole string, which is bit for bit the round-order concatenation
+// the receiver would have reassembled. Batched has no t-round lanes and
+// runs sharded schemes on its embedded kernel. The test-only goroutine
+// oracle ships the real shards over its per-edge channels round by round
+// and reassembles them, so it checks the kernel's metering rule
+// independently; the golden-bits test at t ∈ {1, 2, 4} enforces that
+// both executors agree with it.
 
-// Multi-round (t-PLS) verification. A MultiRound scheme spreads its
-// per-port strings over Rounds() synchronous rounds; the round kernel
-// (Sequential.Round, whose classic round is the t = 1 case) runs the
-// rounds in lockstep, meters every round's messages into the same Stats
-// counters (MaxPortBits is therefore the exact bits-per-round of the
-// tradeoff), and hands Decide the per-port concatenation, in round order,
-// of everything that arrived on that port. Batched has no t-round lanes
-// and runs multi-round schemes on its embedded kernel.
-//
-// The coin contract keeps the rounds stateless and the execution
-// deterministic: in every round of trial seed, node v's rng is a fresh
-// prng.New(seed).Fork(v) — the same stream each round — so a scheme
-// re-derives its base certificates identically per round and slices out
-// the round's shard. Both executors produce votes and Stats identical to the
-// goroutine-per-node reference for the same seed at any parallelism level,
-// exactly as in the one-round case; the golden-bits test at t ∈ {1, 2, 4}
-// enforces it.
-
-// MultiRound is the optional t-round extension of Scheme. A Scheme that
-// does not implement it runs the classic single round.
-type MultiRound interface {
+// sharded runs its base scheme over rounds > 1 rounds. Labels, coins,
+// strings, decisions and one-sidedness are the base scheme's; only the
+// round count — and with it the metering — changes. A deterministic base
+// reports Deterministic() == false so the kernel drives its Certs, which
+// for a FromPLS adapter is the label on every port.
+type sharded struct {
 	Scheme
-	// Rounds is the number of verification rounds t >= 1.
-	Rounds() int
-	// RoundCerts generates the round-r string per port (index i = port
-	// i+1). The executor recreates the rng identically for every round of
-	// one trial.
-	RoundCerts(round int, view core.View, own core.Label, rng *prng.Rand) []core.Cert
+	rounds int
 }
 
-// Rounds reports the number of verification rounds a scheme runs: t for a
-// MultiRound scheme, 1 otherwise.
-func Rounds(s Scheme) int {
-	if mr, ok := s.(MultiRound); ok {
-		if t := mr.Rounds(); t > 1 {
-			return t
-		}
-	}
-	return 1
-}
-
-// IsCoinFree reports whether every round of the scheme is coin-free, so a
-// single trial measures it exactly: deterministic schemes, and multi-round
-// schemes that declare themselves CoinFree (a sharded deterministic
-// scheme). Drivers use it to collapse the trial budget the way they already
-// do for Deterministic schemes.
-func IsCoinFree(s Scheme) bool {
-	if s.Deterministic() {
-		return true
-	}
-	if a, ok := s.(multiScheme); ok {
-		if cf, ok := a.s.(core.CoinFree); ok {
-			return cf.CoinFree()
-		}
-	}
-	return false
-}
-
-// multiScheme adapts a core.MultiRPLS onto the unified Scheme plus the
-// MultiRound hook. It reports Deterministic() == false so executors drive
-// the RoundCerts path — even for a sharded deterministic base, whose
-// "certificates" are label shards rather than whole labels.
-type multiScheme struct{ s core.MultiRPLS }
-
-// FromMultiRPLS adapts a t-round scheme onto the unified round abstraction.
-func FromMultiRPLS(s core.MultiRPLS) Scheme { return multiScheme{s} }
-
-func (a multiScheme) Name() string                                { return a.s.Name() }
-func (a multiScheme) Label(c *graph.Config) ([]core.Label, error) { return a.s.Label(c) }
-func (a multiScheme) Deterministic() bool                         { return false }
-func (a multiScheme) OneSided() bool                              { return a.s.OneSided() }
-func (a multiScheme) Rounds() int                                 { return a.s.Rounds() }
-
-// Certs is the single-round entry: a t-round scheme run by a single-round
-// driver sends its round-0 strings (for t == 1 that is the whole scheme).
-func (a multiScheme) Certs(view core.View, own core.Label, rng *prng.Rand) []core.Cert {
-	return a.s.RoundCerts(0, view, own, rng)
-}
-
-func (a multiScheme) RoundCerts(round int, view core.View, own core.Label, rng *prng.Rand) []core.Cert {
-	return a.s.RoundCerts(round, view, own, rng)
-}
-
-func (a multiScheme) Decide(view core.View, own core.Label, received []core.Cert) bool {
-	return a.s.Decide(view, own, received)
-}
+func (s sharded) Name() string        { return fmt.Sprintf("%s+shard%d", s.Scheme.Name(), s.rounds) }
+func (s sharded) Deterministic() bool { return false }
 
 // Shard wraps a registered scheme into its t-round sharded form (the
 // constructive direction of the κ/t tradeoff): per port and per round it
 // sends ⌈κ/t⌉ bits, and the receiver's reassembly feeds the base decision.
 // t == 1 returns the scheme unchanged, so the rounds axis degenerates to
-// the classic engine exactly; t < 1 is rejected. Only schemes adapted from
-// the core model types (FromPLS / FromRPLS) can be sharded — everything in
-// the registry is.
+// the classic engine exactly; t > κ is legal (the late rounds carry empty
+// shards); t < 1 is rejected. Only schemes adapted from the core model
+// types (FromPLS / FromRPLS) can be sharded — everything in the registry
+// is.
 func Shard(s Scheme, t int) (Scheme, error) {
 	if t == 1 {
 		return s, nil
@@ -109,19 +46,34 @@ func Shard(s Scheme, t int) (Scheme, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("engine: shard %s into %d rounds: need t >= 1", s.Name(), t)
 	}
-	if pls, ok := AsPLS(s); ok {
-		m, err := core.ShardPLS(pls, t)
-		if err != nil {
-			return nil, err
-		}
-		return FromMultiRPLS(m), nil
+	_, pls := AsPLS(s)
+	_, rpls := AsRPLS(s)
+	if !pls && !rpls {
+		return nil, fmt.Errorf("engine: scheme %s is not a core PLS/RPLS adapter; cannot shard", s.Name())
 	}
-	if rpls, ok := AsRPLS(s); ok {
-		m, err := core.ShardCompile(rpls, t)
-		if err != nil {
-			return nil, err
-		}
-		return FromMultiRPLS(m), nil
+	return sharded{Scheme: s, rounds: t}, nil
+}
+
+// Rounds reports the number of verification rounds a scheme runs: t for a
+// sharded scheme, capped or not, and 1 otherwise.
+func Rounds(s Scheme) int {
+	if w, ok := s.(capScheme); ok {
+		s = w.inner
 	}
-	return nil, fmt.Errorf("engine: scheme %s is not a core PLS/RPLS adapter; cannot shard", s.Name())
+	if w, ok := s.(sharded); ok {
+		return w.rounds
+	}
+	return 1
+}
+
+// IsCoinFree reports whether the scheme's execution draws no coins, so a
+// single trial measures it exactly: deterministic schemes, and uncapped
+// sharded deterministic schemes. Drivers use it to collapse the trial
+// budget the way they already do for Deterministic schemes.
+func IsCoinFree(s Scheme) bool {
+	if s.Deterministic() {
+		return true
+	}
+	w, ok := s.(sharded)
+	return ok && w.Scheme.Deterministic()
 }

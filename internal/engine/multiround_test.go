@@ -1,12 +1,15 @@
 package engine_test
 
 import (
+	"math"
 	"testing"
 
+	"rpls/internal/bitstring"
 	"rpls/internal/core"
 	"rpls/internal/engine"
 	"rpls/internal/experiments"
 	"rpls/internal/graph"
+	"rpls/internal/prng"
 	"rpls/internal/schemes/spanningtree"
 	"rpls/internal/schemes/uniform"
 )
@@ -262,5 +265,190 @@ func TestShardedEstimateParallelDeterminism(t *testing.T) {
 		if sum != ref {
 			t.Fatalf("p=%d sharded summary %+v != p=1 %+v", p, sum, ref)
 		}
+	}
+}
+
+// TestShardRejectsBadRounds pins the t = 0 contract for both adapter
+// kinds: zero and negative round counts are rejected, while t ≫ κ is legal
+// (the late rounds just carry empty shards).
+func TestShardRejectsBadRounds(t *testing.T) {
+	for _, base := range []engine.Scheme{engine.FromPLS(spanningtree.NewPLS()), engine.FromRPLS(uniform.NewRPLS())} {
+		for _, bad := range []int{0, -1, -100} {
+			if _, err := engine.Shard(base, bad); err == nil {
+				t.Errorf("Shard(%s, t=%d) accepted, want error", base.Name(), bad)
+			}
+		}
+		if _, err := engine.Shard(base, 1_000_000); err != nil {
+			t.Errorf("Shard(%s, t≫κ): %v, want accepted", base.Name(), err)
+		}
+	}
+}
+
+// TestShardedPLSReassemblesLabels follows a sharded deterministic scheme's
+// shards by hand: concatenating the oracle's per-round shards from each
+// neighbor must reconstruct that neighbor's label, and the oracle's vote
+// must equal the base verifier's verdict on the reassembled labels.
+func TestShardedPLSReassemblesLabels(t *testing.T) {
+	cfg := graph.NewConfig(graph.RandomTree(12, prng.New(3)))
+	base := spanningtree.NewPLS()
+	for v, p := range cfg.G.SpanningTreeParents(0) {
+		cfg.States[v].Parent = p
+	}
+	cfg.AssignRandomIDs(prng.New(4))
+	labels, err := base.Label(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	sharded, err := engine.Shard(engine.FromPLS(base), rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sharded.OneSided() || engine.Rounds(sharded) != rounds || !engine.IsCoinFree(sharded) {
+		t.Fatalf("sharded deterministic scheme: one-sided=%v rounds=%d coin-free=%v",
+			sharded.OneSided(), engine.Rounds(sharded), engine.IsCoinFree(sharded))
+	}
+	votes, _ := newOracle().Round(sharded, cfg, labels, 1)
+	for v := 0; v < cfg.G.N(); v++ {
+		view := core.ViewOf(cfg, v)
+		recv := make([]core.Cert, view.Deg)
+		for i, h := range cfg.G.Adj(v) {
+			strs := nodeStrings(sharded, core.ViewOf(cfg, h.To), labels[h.To], prng.New(1).Fork(uint64(h.To)))
+			parts := make([]bitstring.String, rounds)
+			for r := range parts {
+				parts[r] = core.Shard(strs[h.RevPort-1], r, rounds)
+			}
+			recv[i] = bitstring.Concat(parts...)
+			if !recv[i].Equal(labels[h.To]) {
+				t.Fatalf("node %d port %d: reassembled %q != neighbor label %q", v, i+1, recv[i], labels[h.To])
+			}
+		}
+		want := base.Verify(view, labels[v], recv)
+		if !want {
+			t.Fatalf("node %d: base verifier rejects honest reassembled labels", v)
+		}
+		if votes[v] != want {
+			t.Fatalf("node %d: sharded vote %v != base Verify %v", v, votes[v], want)
+		}
+	}
+}
+
+// TestShardedCertsPreserveBase checks the coin contract of a sharded
+// randomized scheme: for the same coins its Certs are the base Certs, and
+// their core.Shard pieces concatenate back to them.
+func TestShardedCertsPreserveBase(t *testing.T) {
+	cfg := graph.NewConfig(graph.Complete(6))
+	for v := range cfg.States {
+		cfg.States[v].Data = []byte{0xde, 0xad, 0xbe, 0xef}
+	}
+	base := engine.FromRPLS(uniform.NewRPLS())
+	labels, err := base.Label(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rounds := range []int{1, 2, 4, 7, 1000} {
+		sharded, err := engine.Shard(base, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < cfg.G.N(); v++ {
+			view := core.ViewOf(cfg, v)
+			want := base.Certs(view, labels[v], prng.New(11).Fork(uint64(v)))
+			got := sharded.Certs(view, labels[v], prng.New(11).Fork(uint64(v)))
+			if len(got) != len(want) {
+				t.Fatalf("rounds=%d node %d: %d certs, base drew %d", rounds, v, len(got), len(want))
+			}
+			for port := range want {
+				if !got[port].Equal(want[port]) {
+					t.Fatalf("rounds=%d node %d port %d: sharded cert differs from base draw", rounds, v, port)
+				}
+				parts := make([]bitstring.String, rounds)
+				for r := range parts {
+					parts[r] = core.Shard(got[port], r, rounds)
+				}
+				if !bitstring.Concat(parts...).Equal(want[port]) {
+					t.Fatalf("rounds=%d node %d port %d: shards do not reassemble the base cert", rounds, v, port)
+				}
+			}
+		}
+	}
+}
+
+// FuzzShardRounds fuzzes the round count at the engine boundary: t <= 0
+// is rejected for a FromPLS and a FromRPLS base alike, and any t >= 1
+// runs — an honest instance is accepted at ⌈κ/t⌉ bits per round with the
+// base wire total, whatever t is, t > κ included.
+func FuzzShardRounds(f *testing.F) {
+	for _, rounds := range []int{0, -4, 1, 3, 100, 1 << 20, math.MaxInt} {
+		f.Add(rounds)
+	}
+	cfg := experiments.BuildTreeConfig(8, 2)
+	det := engine.FromPLS(spanningtree.NewPLS())
+	bases := []engine.Scheme{det, engine.FromRPLS(uniform.NewRPLS())}
+	labels, err := det.Label(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := engine.Verify(det, cfg, labels).Stats
+	f.Fuzz(func(t *testing.T, rounds int) {
+		for _, base := range bases {
+			s, err := engine.Shard(base, rounds)
+			if rounds < 1 {
+				if err == nil {
+					t.Fatalf("Shard(%s, t=%d) accepted", base.Name(), rounds)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("Shard(%s, t=%d): %v", base.Name(), rounds, err)
+			}
+			if got := engine.Rounds(s); got != rounds {
+				t.Fatalf("Rounds(Shard(%s, %d)) = %d", base.Name(), rounds, got)
+			}
+		}
+		if rounds < 1 {
+			return
+		}
+		s, _ := engine.Shard(det, rounds)
+		res := engine.Verify(s, cfg, labels)
+		if !res.Accepted {
+			t.Fatalf("t=%d rejects an honest instance", rounds)
+		}
+		if w := core.ShardWidth(want.MaxCertBits, rounds); res.Stats.MaxPortBits != w || res.Stats.TotalWireBits != want.TotalWireBits {
+			t.Fatalf("t=%d: %d bits per round and %d wire bits, want %d and %d",
+				rounds, res.Stats.MaxPortBits, res.Stats.TotalWireBits, w, want.TotalWireBits)
+		}
+	})
+}
+
+// TestShardedVerifyAllocsOncePerTrial pins "once per trial": strings are
+// derived once per node whatever t is, so a warm Verify of the uniform
+// scheme allocates as much at t = 2 and t = 4 as at t = 1, and under a
+// replication cap (m = 2) as much at t = 4 as at t = 2.
+func TestShardedVerifyAllocsOncePerTrial(t *testing.T) {
+	cfg := experiments.BuildUniformConfig(64, 32, 1)
+	base := engine.FromRPLS(uniform.NewRPLS())
+	labels, err := base.Label(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := engine.NewSequential()
+	allocs := func(rounds, m int) float64 {
+		s, err := engine.Shard(base, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []engine.Option{engine.WithSeed(2), engine.WithExecutor(exec), engine.WithMultiplicity(m)}
+		engine.Verify(s, cfg, labels, opts...) // warm the scratch
+		return testing.AllocsPerRun(10, func() { engine.Verify(s, cfg, labels, opts...) })
+	}
+	one := allocs(1, 0)
+	for _, rounds := range []int{2, 4} {
+		if got := allocs(rounds, 0); got != one {
+			t.Errorf("t=%d: %v allocs per Verify, want t=1's %v", rounds, got, one)
+		}
+	}
+	if two, four := allocs(2, 2), allocs(4, 2); four != two {
+		t.Errorf("m=2: t=4 allocates %v per Verify, want t=2's %v", four, two)
 	}
 }

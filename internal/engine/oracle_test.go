@@ -34,17 +34,18 @@ type nodeMeter struct {
 
 // Round runs the scheme's t >= 1 rounds (the classic round is t = 1) with
 // every node as a goroutine alternating a send-all and a receive-all phase
-// per round over the same one-channel-per-directed-edge fabric. The
-// capacity-1 buffers cannot deadlock: the node at the minimum round has
-// already had all its inputs sent and all its output channels drained (any
-// neighbor past that round consumed them), so it always progresses. After
-// the last round each node decides from the per-port concatenation, in
-// round order, of everything that arrived on that port.
+// per round over the same one-channel-per-directed-edge fabric. Each node
+// derives its strings once — its label for a deterministic scheme, else
+// its (capped) certificates — and in round r sends core.Shard(str, r, t)
+// on every port, metering each shard it sends. The capacity-1 buffers
+// cannot deadlock: the node at the minimum round has already had all its
+// inputs sent and all its output channels drained (any neighbor past that
+// round consumed them), so it always progresses. After the last round each
+// node decides from the per-port concatenation, in round order, of
+// everything that arrived on that port.
 func (goroutineOracle) Round(s engine.Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, engine.Stats) {
 	n := c.G.N()
 	rounds := engine.Rounds(s)
-	det := rounds == 1 && s.Deterministic()
-	mr, _ := s.(engine.MultiRound)
 	in := buildChannels(c.G)
 	root := prng.New(seed)
 	votes := make([]bool, n)
@@ -56,25 +57,11 @@ func (goroutineOracle) Round(s engine.Scheme, c *graph.Config, labels []core.Lab
 		go func(v int) {
 			defer wg.Done()
 			view := core.ViewOf(c, v)
+			strs := nodeStrings(s, view, labels[v], root.Fork(uint64(v)))
 			acc := make([][]core.Cert, view.Deg)
 			for r := 0; r < rounds; r++ {
-				// The same coin stream every round: shards of one draw.
-				var certs []core.Cert
-				switch {
-				case det:
-				case rounds > 1:
-					certs = mr.RoundCerts(r, view, labels[v], root.Fork(uint64(v)))
-				default:
-					certs = s.Certs(view, labels[v], root.Fork(uint64(v)))
-				}
 				for i, h := range c.G.AdjView(v) {
-					msg := labels[v]
-					if !det {
-						msg = core.Cert{}
-						if i < len(certs) {
-							msg = certs[i]
-						}
-					}
+					msg := core.Shard(strs[i], r, rounds)
 					sent[v].maxMsg = max(sent[v].maxMsg, msg.Len())
 					sent[v].wire += int64(msg.Len())
 					in[h.To][h.RevPort-1] <- msg
@@ -93,7 +80,7 @@ func (goroutineOracle) Round(s engine.Scheme, c *graph.Config, labels []core.Lab
 	wg.Wait()
 
 	st := engine.Stats{Rounds: rounds}
-	mult := engine.Multiplicity(s)
+	det, mult := s.Deterministic(), engine.Multiplicity(s)
 	for v := 0; v < n; v++ {
 		deg := c.G.Degree(v)
 		st.MaxLabelBits = max(st.MaxLabelBits, labels[v].Len())
@@ -114,6 +101,22 @@ func (goroutineOracle) Round(s engine.Scheme, c *graph.Config, labels []core.Lab
 		st.MaxPortBits = max(st.MaxPortBits, sent[v].maxMsg)
 	}
 	return votes, st
+}
+
+// nodeStrings is what a node sends on each port over the whole execution,
+// derived once: its label on every port for a deterministic scheme,
+// otherwise its certificates from rng (an empty string for a port the
+// scheme left out). Round r carries core.Shard(str, r, t) of each.
+func nodeStrings(s engine.Scheme, view core.View, own core.Label, rng *prng.Rand) []core.Cert {
+	strs := make([]core.Cert, view.Deg)
+	if s.Deterministic() {
+		for i := range strs {
+			strs[i] = own
+		}
+		return strs
+	}
+	copy(strs, s.Certs(view, own, rng))
+	return strs
 }
 
 // buildChannels wires one buffered channel per directed edge;
