@@ -16,8 +16,9 @@
 // plscampaign subcommands.
 //
 // -exec batched additionally prints the executor's lane telemetry
-// (batches, mean lane occupancy, plane-budget narrowing, fallbacks) from
-// the internal/obs recorder; recording never changes results.
+// (batches, mean lane occupancy, plane-budget narrowing, coin-free
+// collapses) from the internal/obs recorder; recording never changes
+// results.
 package main
 
 import (
@@ -52,7 +53,7 @@ func run() error {
 	trials := flag.Int("trials", 200, "Monte-Carlo trials for randomized acceptance")
 	parallel := flag.Int("parallel", 1, "estimator workers (0 = all cores); summaries are bit-identical at any level")
 	maxSE := flag.Float64("maxse", 0, "stop an estimate once the 95% Wilson half-width is at most this (0 = off)")
-	execName := flag.String("exec", "sequential", "round executor: "+strings.Join(engine.ExecutorNames(), ", ")+" (identical results; batched runs lane-aware randomized schemes 64 trials per traversal)")
+	execName := flag.String("exec", "sequential", "round executor: "+strings.Join(engine.ExecutorNames(), ", ")+" (identical results; batched runs up to 64 trials per traversal)")
 	rounds := flag.Int("rounds", 1, "t-PLS verification rounds: shard every certificate into t rounds of ⌈κ/t⌉ bits per port")
 	multiplicity := flag.Int("multiplicity", 0, "message-multiplicity cap m per round: 1 = broadcast, 0 = unconstrained unicast")
 	sweep := flag.String("sweep", "", "comma-separated sizes; measure the randomized scheme across them")
@@ -210,18 +211,17 @@ func run() error {
 }
 
 // reportBatched prints the batched executor's lane telemetry, making the
-// batch shape — occupancy, plane-budget narrowing, fallbacks — visible in
-// the ordinary human output.
+// batch shape — occupancy, plane-budget narrowing, coin-free collapses —
+// visible in the ordinary human output.
 func reportBatched(execName string) {
 	if execName != "batched" {
 		return
 	}
 	snap := obs.TakeSnapshot()
 	lanes, _ := snap.Histogram("engine.batched.lanes")
-	fmt.Printf("[obs ] batched: batches=%d mean-lanes=%.1f narrowed=%d fallback=%d coinfree=%d\n",
+	fmt.Printf("[obs ] batched: batches=%d mean-lanes=%.1f narrowed=%d coinfree=%d\n",
 		snap.Counter("engine.batched.batches"), lanes.Mean,
-		snap.Counter("engine.batched.narrowed"), snap.Counter("engine.batched.fallback"),
-		snap.Counter("engine.batched.coinfree"))
+		snap.Counter("engine.batched.narrowed"), snap.Counter("engine.batched.coinfree"))
 }
 
 // bitsPerEdge is the per-directed-edge per-round cost of one measured round.

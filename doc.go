@@ -19,9 +19,10 @@
 // Entry points:
 //
 //   - internal/engine     — the verification API: the unified Scheme
-//     abstraction (one round shape for both models), one round kernel
-//     (Sequential: any t >= 1 rounds, the classic round being t = 1)
-//     and its 64-lane bit-plane wide mode (Batched), with exact wire
+//     abstraction (one round shape for both models), one per-trial
+//     contract (every node prepared once, answering up to 64 trials per
+//     call) run by one lane loop one lane wide (Sequential: any t >= 1
+//     rounds, the classic round being t = 1) or 64 (Batched), with exact wire
 //     accounting (bits per port per round, identical across executors),
 //     t-round verification (engine.Shard wraps any registered scheme: each
 //     node derives its strings once per trial and the kernel meters each

@@ -63,48 +63,51 @@ func (b *boosted) Certs(view View, own Label, rng *prng.Rand) []Cert {
 	return out
 }
 
-var _ LaneRPLS = (*boosted)(nil)
+var _ Preparer = (*boosted)(nil)
 
-// CertsLanes implements LaneRPLS. Each repetition is delegated to the
-// inner scheme's lane path with the per-lane rep forks rngs[l].Fork(rep) —
-// the exact streams Certs would hand it one lane at a time — so the inner
-// scheme amortizes its parsing and evaluation across lanes once per rep
-// instead of once per lane × rep. A non-lane inner scheme falls back to
-// the one-lane path per lane.
-func (b *boosted) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert) {
-	lanes := len(rngs)
-	inner, ok := b.inner.(LaneRPLS)
-	if !ok {
-		for l, rng := range rngs {
-			copy(out[l][:view.Deg], b.Certs(view, own, rng))
-		}
-		return
-	}
-	deg := view.Deg
+// Prepare implements Preparer: one node of the inner scheme answers every
+// repetition, so the inner scheme's coin-free work runs once per node, not
+// once per repetition.
+func (b *boosted) Prepare(view View, own Label) Prepared {
+	return &boostNode{inner: prepare(b.inner, view, own), t: b.t, deg: view.Deg, oneSided: b.inner.OneSided()}
+}
+
+// boostNode is a boosted scheme's prepared node: the inner node plus the
+// repetition count and combination rule.
+type boostNode struct {
+	inner    Prepared
+	t, deg   int
+	oneSided bool
+}
+
+// Certs implements Prepared. Each repetition is one inner Certs call with
+// the per-lane forks rngs[l].Fork(rep) — the streams the label path hands
+// the inner scheme one lane at a time — and each (lane, port)'s
+// repetitions are then framed into one exactly sized slab.
+func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert) {
+	lanes, deg := len(rngs), n.deg
 	// Pass 1: collect every repetition's certificates. Each rep writes a
-	// distinct window of allReps, so the inner scheme's reused-storage
-	// contract is honored while all reps stay live for framing.
-	allReps := make([]Cert, b.t*lanes*deg)
+	// distinct window of allReps, so all reps stay live for framing.
+	allReps := make([]Cert, n.t*lanes*deg)
 	repOut := make([][]Cert, lanes)
 	repVals := make([]prng.Rand, lanes)
 	repRngs := make([]*prng.Rand, lanes)
 	for l := range repRngs {
 		repRngs[l] = &repVals[l]
 	}
-	for rep := 0; rep < b.t; rep++ {
+	for rep := 0; rep < n.t; rep++ {
 		base := rep * lanes * deg
 		for l, rng := range rngs {
 			repVals[l] = *rng.Fork(uint64(rep))
 			repOut[l] = allReps[base+l*deg : base+(l+1)*deg]
 		}
-		inner.CertsLanes(view, own, repRngs, repOut)
+		n.inner.Certs(repRngs, repOut)
 	}
 	// Pass 2: frame each (lane, port)'s repetitions — gamma length prefix
-	// plus payload, rep-major, the exact wire format of Certs — into one
-	// exactly-sized slab shared by the whole call.
+	// plus payload, rep-major, the exact wire format of Certs.
 	frameBits := func(l, i int) int {
 		bits := 0
-		for rep := 0; rep < b.t; rep++ {
+		for rep := 0; rep < n.t; rep++ {
 			c := allReps[rep*lanes*deg+l*deg+i]
 			bits += bitstring.GammaBits(uint64(c.Len())) + c.Len()
 		}
@@ -123,7 +126,7 @@ func (b *boosted) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Ce
 		for i := 0; i < deg; i++ {
 			nb := (frameBits(l, i) + 7) / 8
 			w.ResetInto(slab[off : off : off+nb])
-			for rep := 0; rep < b.t; rep++ {
+			for rep := 0; rep < n.t; rep++ {
 				c := allReps[rep*lanes*deg+l*deg+i]
 				w.WriteGamma(uint64(c.Len()))
 				w.WriteString(c)
@@ -134,30 +137,19 @@ func (b *boosted) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Ce
 	}
 }
 
-// DecideLanes implements LaneRPLS: the framed repetitions of every lane
-// are unpacked in lockstep and each rep is judged by one inner
-// DecideLanes call. A lane that fails to parse votes false; under the
-// one-sided conjunction rule a single inner rejection also pins the
-// lane's vote to false (parsing continues for the other lanes, which
-// cannot change the outcome — Decide would simply have stopped earlier).
-func (b *boosted) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
-	lanes := len(recv)
-	inner, ok := b.inner.(LaneRPLS)
-	if !ok {
-		var votes uint64
-		for l := 0; l < lanes; l++ {
-			if b.Decide(view, own, recv[l]) {
-				votes |= 1 << uint(l)
-			}
-		}
-		return votes
-	}
-	deg := view.Deg
+// Decide implements Prepared: the framed repetitions of every lane are
+// unpacked in lockstep and each rep is judged by one inner Decide call. A
+// lane that fails to parse votes false; under the one-sided conjunction
+// rule a single inner rejection also pins the lane's vote to false
+// (parsing continues for the other lanes, which cannot change the
+// outcome — the label path would simply have stopped earlier).
+func (n *boostNode) Decide(recv [][]Cert) uint64 {
+	lanes, deg := len(recv), n.deg
 	live := LaneMask(lanes) // lanes whose framing has parsed cleanly so far
 	// Flat value readers and one sub-certificate slab: a rep's unframed
 	// certificate for (lane, port) lands in a fixed window of slab — its
 	// size bounds any single rep's share — and is consumed by the inner
-	// DecideLanes before the next rep overwrites it.
+	// Decide before the next rep overwrites it.
 	readers := make([]bitstring.Reader, lanes*deg)
 	roundFlat := make([]Cert, lanes*deg)
 	round := make([][]Cert, lanes)
@@ -179,35 +171,32 @@ func (b *boosted) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 	slab := make([]byte, offs[lanes*deg])
 	var rejected uint64
 	accepts := make([]int, lanes)
-	oneSided := b.inner.OneSided()
-	for rep := 0; rep < b.t && live != 0; rep++ {
+	for rep := 0; rep < n.t && live != 0; rep++ {
 		for l := 0; l < lanes; l++ {
 			if live&(1<<uint(l)) == 0 {
 				continue
 			}
 			for i := 0; i < deg; i++ {
 				k := l*deg + i
-				n, err := readers[k].ReadGamma()
-				if err == nil && n <= 1<<30 {
-					round[l][i], err = readers[k].ReadStringInto(int(n), slab[offs[k]:offs[k]:offs[k+1]])
+				sub, err := readers[k].ReadGamma()
+				if err == nil && sub <= 1<<30 {
+					round[l][i], err = readers[k].ReadStringInto(int(sub), slab[offs[k]:offs[k]:offs[k+1]])
 				}
-				if err != nil || n > 1<<30 {
+				if err != nil || sub > 1<<30 {
 					live &^= 1 << uint(l)
-					for j := range round[l] {
-						round[l][j] = Cert{}
-					}
+					clear(round[l])
 					break
 				}
 			}
 		}
-		mask := inner.DecideLanes(view, own, round)
+		mask := n.inner.Decide(round)
 		for l := 0; l < lanes; l++ {
 			if live&(1<<uint(l)) == 0 {
 				continue
 			}
 			if mask&(1<<uint(l)) != 0 {
 				accepts[l]++
-			} else if oneSided {
+			} else if n.oneSided {
 				rejected |= 1 << uint(l)
 			}
 		}
@@ -224,7 +213,7 @@ func (b *boosted) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 				break
 			}
 		}
-		if clean && (oneSided || 2*accepts[l] > b.t) {
+		if clean && (n.oneSided || 2*accepts[l] > n.t) {
 			votes |= 1 << uint(l)
 		}
 	}

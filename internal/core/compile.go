@@ -118,115 +118,133 @@ func (c *compiled) splitLabel(own Label, deg int) (self Label, replicas []Label,
 	return self, replicas, nil
 }
 
-// compiledNode is one node's decoded compiled label: the self sub-label
-// and its field, one replica per port, and the split error of a malformed
-// label. The label path decodes one per call; Prepare decodes one per
-// estimate and adds the inner verifier's vote.
-type compiledNode struct {
-	deg      int
-	self     Label
-	p        uint64 // field of the self sub-label's fingerprints
-	replicas []Label
-	err      error
-	vote     bool // inner.Verify on (self, replicas); set by Prepare only
-}
-
-var _ Preparer = (*compiled)(nil)
-
-// split decodes own for the node described by view.
-func (c *compiled) split(view View, own Label) compiledNode {
-	self, replicas, err := c.splitLabel(own, view.Deg)
-	n := compiledNode{deg: view.Deg, self: self, replicas: replicas, err: err}
-	if err == nil {
-		n.p = field.PrimeForLength(self.Len())
-	}
-	return n
-}
-
 // Certs fingerprints the node's own sub-label once per port with
-// independent coins (edge independence, Definition 4.5).
+// independent coins (edge independence, Definition 4.5). A node with a
+// malformed label sends empty certificates; its neighbors reject them,
+// and the node itself rejects in Decide.
 func (c *compiled) Certs(view View, own Label, rng *prng.Rand) []Cert {
-	n := c.split(view, own)
-	return n.Certs(rng)
+	certs := make([]Cert, view.Deg)
+	self, _, err := c.splitLabel(own, view.Deg)
+	if err != nil {
+		return certs
+	}
+	p := field.PrimeForLength(self.Len())
+	for i := range certs {
+		certs[i] = FingerprintCert(self, p, rng.Fork(uint64(i)))
+	}
+	return certs
 }
 
 // Decide checks every received fingerprint against the stored replica of
 // that neighbor's label, then runs the original deterministic verifier on
 // the replicas.
 func (c *compiled) Decide(view View, own Label, received []Cert) bool {
-	n := c.split(view, own)
-	return n.fingerprintsMatch(received) && c.inner.Verify(view, n.self, n.replicas)
-}
-
-// Prepare implements Preparer: the label is split, the field chosen, and
-// the inner verifier run once. The inner vote may be hoisted out of the
-// trials because it sees only the self sub-label and the replicas, never
-// a coin — DecideLanes already runs it once per batch for the same
-// reason. Every received fingerprint is still checked per trial.
-func (c *compiled) Prepare(view View, own Label) Prepared {
-	n := c.split(view, own)
-	if n.err == nil {
-		n.vote = c.inner.Verify(view, n.self, n.replicas)
-	}
-	return &n
-}
-
-// Certs writes one fingerprint certificate per port through the one-lane
-// FingerprintLanes, the writer CertsLanes uses for every lane. A node with
-// a malformed label sends empty certificates; its neighbors reject them,
-// and the node itself rejects in Decide.
-func (n *compiledNode) Certs(rng *prng.Rand) []Cert {
-	certs := make([]Cert, n.deg)
-	if n.err != nil {
-		return certs
-	}
-	rngs, out := [1]*prng.Rand{rng}, [1][]Cert{certs}
-	FingerprintLanes(n.self, n.p, rngs[:], n.deg, nil, out[:])
-	return certs
-}
-
-// Decide is the prepared node's vote: every received fingerprint must
-// match its replica, and the inner verifier must have accepted.
-func (n *compiledNode) Decide(received []Cert) bool {
-	return n.fingerprintsMatch(received) && n.vote
-}
-
-// fingerprintsMatch reports whether the label is well formed, one
-// certificate arrived per port, and each matches the stored replica of
-// its sender's label.
-func (n *compiledNode) fingerprintsMatch(received []Cert) bool {
-	if n.err != nil || len(received) != n.deg {
+	self, replicas, err := c.splitLabel(own, view.Deg)
+	if err != nil || len(received) != view.Deg {
 		return false
 	}
 	for i, cert := range received {
-		if !checkFingerprint(cert, n.replicas[i]) {
+		if !checkFingerprint(cert, replicas[i]) {
 			return false
 		}
 	}
-	return true
+	return c.inner.Verify(view, self, replicas)
 }
 
 // checkFingerprint verifies one transmitted certificate — gamma length
 // prefix plus (x, A(x)) — against the receiver's stored replica of the
-// sender's label.
+// sender's label. A length mismatch rejects outright: the replica cannot
+// equal the sender's label.
 func checkFingerprint(cert Cert, replica Label) bool {
-	r := bitstring.NewReader(cert)
-	n, err := r.ReadGamma()
-	if err != nil {
-		return false
+	fp, ok := ReadFingerprintCert(cert, replica.Len(), field.PrimeForLength(replica.Len()))
+	return ok && fp.Matches(replica)
+}
+
+// compiledNode is one node's prepared compiled label: the self sub-label
+// and its field, one replica per port, the split error of a malformed
+// label, and the inner verifier's vote on the replicas.
+type compiledNode struct {
+	deg      int
+	self     Label
+	p        uint64 // field of the self sub-label's fingerprints
+	replicas []Label
+	err      error
+	vote     bool
+}
+
+var _ Preparer = (*compiled)(nil)
+
+// Prepare implements Preparer: the label is split, the field chosen, and
+// the inner verifier run once. The inner vote may be hoisted out of the
+// trials because it sees only the self sub-label and the replicas, never
+// a coin. Every received fingerprint is still checked per trial.
+func (c *compiled) Prepare(view View, own Label) Prepared {
+	self, replicas, err := c.splitLabel(own, view.Deg)
+	n := &compiledNode{deg: view.Deg, self: self, replicas: replicas, err: err}
+	if err == nil {
+		n.p = field.PrimeForLength(self.Len())
+		n.vote = c.inner.Verify(view, self, replicas)
 	}
-	if int(n) != replica.Len() {
-		return false // length mismatch: replica cannot equal sender's label
+	return n
+}
+
+// Certs implements Prepared: FingerprintLanes evaluates the self
+// sub-label's polynomial at all lanes × ports points in one EvalMany
+// call, with no cache — the sub-label differs per node, so a shared
+// one-entry memo would thrash.
+func (n *compiledNode) Certs(rngs []*prng.Rand, out [][]Cert) {
+	if n.err != nil {
+		for l := range rngs {
+			clear(out[l][:n.deg])
+		}
+		return
 	}
-	p := field.PrimeForLength(int(n))
-	fp, err := field.DecodeFingerprint(r, p)
-	if err != nil {
-		return false
+	FingerprintLanes(n.self, n.p, rngs, n.deg, nil, out)
+}
+
+// Decide implements Prepared. Per port, each lane's certificate is parsed
+// on its own (lanes fail independently under adversarial input), and the
+// replica's polynomial is evaluated at all surviving lanes' points in one
+// EvalMany call. A malformed label or a rejecting inner vote rejects in
+// every lane.
+func (n *compiledNode) Decide(recv [][]Cert) uint64 {
+	if n.err != nil || !n.vote {
+		return 0
 	}
-	if r.Remaining() != 0 {
-		return false
+	lanes := len(recv)
+	live := LaneMask(lanes)
+	for l, r := range recv {
+		if len(r) != n.deg {
+			live &^= 1 << uint(l)
+		}
 	}
-	return fp.Matches(replica)
+	buf := make([]uint64, 3*lanes)
+	xs, ys, got := buf[:lanes], buf[lanes:2*lanes], buf[2*lanes:]
+	for i, rep := range n.replicas {
+		if live == 0 {
+			break
+		}
+		p := field.PrimeForLength(rep.Len())
+		for l := range recv {
+			xs[l], ys[l] = 0, 0
+			if live&(1<<uint(l)) == 0 {
+				continue
+			}
+			fp, ok := ReadFingerprintCert(recv[l][i], rep.Len(), p)
+			if !ok {
+				live &^= 1 << uint(l)
+				continue
+			}
+			xs[l], ys[l] = fp.X, fp.Y
+		}
+		field.NewPoly(rep, p).EvalMany(xs, got)
+		for l := range recv {
+			if got[l] != ys[l] {
+				live &^= 1 << uint(l)
+			}
+		}
+	}
+	return live
 }
 
 var _ CappedRPLS = (*compiled)(nil)
@@ -248,18 +266,12 @@ func (c *compiled) CapCerts(m int, view View, own Label, rng *prng.Rand) []Cert 
 // own fingerprint is among the members, so soundness is at least unicast.
 func (c *compiled) CapDecide(_ int, view View, own Label, received []Cert) bool {
 	self, replicas, err := c.splitLabel(own, view.Deg)
-	if err != nil {
-		return false
-	}
-	if len(received) != view.Deg {
+	if err != nil || len(received) != view.Deg {
 		return false
 	}
 	for i, msg := range received {
 		members, err := CapSplit(msg)
-		if err != nil {
-			return false
-		}
-		if len(members) == 0 {
+		if err != nil || len(members) == 0 {
 			return false // the reverse edge's fingerprint must be present
 		}
 		for _, cert := range members {

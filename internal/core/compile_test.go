@@ -218,7 +218,7 @@ func TestCompiledRejectsLengthLie(t *testing.T) {
 // it. The fuzzer picks the bits of one compiled-MST node's label and of
 // the certificate arriving on its first port; the other ports receive
 // their honest certificates. The oracle: no panic, and the prepared
-// node's certificates and vote equal the label path's.
+// node's one-lane certificates and vote equal the label path's.
 func FuzzCompiledPrepared(f *testing.F) {
 	s := mst.NewRPLS()
 	c, err := experiments.BuildMSTConfig(10, 4)
@@ -253,10 +253,12 @@ func FuzzCompiledPrepared(f *testing.F) {
 		recv[0] = bitsOf(certData, certBits)
 		p := s.(core.Preparer).Prepare(view, own)
 		rng := func() *prng.Rand { return prng.New(seed).Fork(uint64(v)) }
-		if !certsEqual(p.Certs(rng()), s.Certs(view, own, rng())) {
+		got := [][]core.Cert{make([]core.Cert, view.Deg)}
+		p.Certs([]*prng.Rand{rng()}, got)
+		if !certsEqual(got[0], s.Certs(view, own, rng())) {
 			t.Fatal("Prepared.Certs != Certs")
 		}
-		if got, want := p.Decide(recv), s.Decide(view, own, recv); got != want {
+		if got, want := p.Decide([][]core.Cert{recv}) == 1, s.Decide(view, own, recv); got != want {
 			t.Fatalf("Prepared.Decide = %v, Decide = %v", got, want)
 		}
 	})

@@ -109,8 +109,11 @@ func CapSplit(msg Cert) ([]Cert, error) {
 	if err != nil {
 		return nil, fmt.Errorf("class size: %w", err)
 	}
-	if size > 1<<20 {
-		return nil, fmt.Errorf("implausible class size %d", size)
+	if size > uint64(r.Remaining()) {
+		// Every member costs at least its one-bit gamma length, so a size
+		// the rest of the message cannot hold is rejected before the
+		// member slice is allocated.
+		return nil, fmt.Errorf("class size %d exceeds the %d bits left", size, r.Remaining())
 	}
 	out := make([]Cert, size)
 	for j := range out {

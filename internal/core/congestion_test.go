@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rpls/internal/bitstring"
@@ -135,6 +136,72 @@ func TestCapSplitRejectsMalformed(t *testing.T) {
 	if _, err := core.CapSplit(bitstring.String{}); err == nil {
 		t.Error("empty message parsed")
 	}
+}
+
+// hostileClassMessage is a 41-bit class message that claims 2²⁰ members
+// and carries none of them.
+func hostileClassMessage() core.Cert {
+	var w bitstring.Writer
+	w.WriteGamma(1 << 20)
+	return w.String()
+}
+
+// TestCapSplitBoundsClassSize: a class size the message cannot hold — each
+// member needs at least its one-bit gamma length — is rejected before the
+// member slice is allocated, so a 41-bit message cannot make the parser
+// reserve room for a million members.
+func TestCapSplitBoundsClassSize(t *testing.T) {
+	msg := hostileClassMessage()
+	if msg.Len() != 41 {
+		t.Fatalf("hostile message has %d bits, want 41", msg.Len())
+	}
+	const calls = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := core.CapSplit(msg); err == nil {
+			t.Fatal("class size of 2^20 members accepted from a 41-bit message")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 1024 {
+		t.Fatalf("rejecting the hostile message allocates %d bytes per call, want <= 1024", perCall)
+	}
+}
+
+// reframe writes members back in the CapMerge class-message format.
+func reframe(members []core.Cert) bitstring.String {
+	var w bitstring.Writer
+	w.WriteGamma(uint64(len(members)))
+	for _, m := range members {
+		w.WriteGamma(uint64(m.Len()))
+		w.WriteString(m)
+	}
+	return w.String()
+}
+
+// FuzzCapSplit fuzzes the class-message parser every capped decision runs
+// on received bits. The oracle: no panic, and a message CapSplit accepts
+// re-frames to exactly its input bits.
+func FuzzCapSplit(f *testing.F) {
+	honest := core.CapMerge(makeCerts(5), 2)[0]
+	hostile := hostileClassMessage()
+	for _, msg := range []core.Cert{honest, hostile, honest.Truncate(honest.Len() - 1), {}} {
+		f.Add(msg.Bytes(), msg.Len())
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bits int) {
+		if bits < 0 || bits > 8*len(data) {
+			bits = 8 * len(data)
+		}
+		msg := bitstring.FromBytes(data).Truncate(bits)
+		members, err := core.CapSplit(msg)
+		if err != nil {
+			return
+		}
+		if got := reframe(members); !got.Equal(msg) {
+			t.Fatalf("accepted %d-bit message re-frames to %d different bits", msg.Len(), got.Len())
+		}
+	})
 }
 
 func TestCapReplicateElectsMaxLength(t *testing.T) {

@@ -20,12 +20,14 @@
 // received. The verification complexity is the maximum certificate length
 // (Definition 2.1).
 //
-// Labels are fixed across the trials of a Monte-Carlo estimate, and two
-// optional extensions of RPLS exploit that without changing a single
-// output bit: Preparer splits a node's work into a part done once per
-// node and estimate (label parsing, the coin-free inner vote of a compiled
-// scheme) and a per-trial part (fingerprints, exchange, checks), and
-// LaneRPLS runs up to 64 trials of one node in one call.
+// Labels are fixed across the trials of a Monte-Carlo estimate, so every
+// trial is answered through one prepared node per node (see lanes.go):
+// Prepare does a node's coin-free work once (label parsing, the field, the
+// inner vote of a compiled scheme), and the node then runs up to 64 trials
+// ("lanes") per call without changing a single output bit. Compiled,
+// uniform and boosted schemes implement Preparer; every other scheme is
+// answered by a LabelNode over its label path, which stays the paper's
+// model and the reference every node is tested against.
 package core
 
 import (
@@ -105,32 +107,6 @@ type RPLS interface {
 	// OneSided reports whether legal configurations with honest labels are
 	// accepted with probability 1.
 	OneSided() bool
-}
-
-// Preparer is the optional trial-invariant extension of RPLS. Labels are
-// fixed across the trials of a Monte-Carlo estimate, so the part of Certs
-// and Decide that depends only on a node's view and label — parsing the
-// label, choosing the field, any check that never sees a coin — can run
-// once per node instead of once per trial. Prepare does that part and
-// returns the node's Prepared state, which answers every trial.
-//
-// The contract is strict bit-equivalence with the label path, for every
-// input, malformed labels included: Prepare(view, own).Certs(rng) equals
-// Certs(view, own, rng), and Prepare(view, own).Decide(received) equals
-// Decide(view, own, received).
-type Preparer interface {
-	RPLS
-	Prepare(view View, own Label) Prepared
-}
-
-// Prepared is one node's trial-invariant state, built by Preparer.Prepare.
-// It draws no coins of its own, is immutable once built, and is safe for
-// concurrent use: trial-parallel workers share it read-only.
-type Prepared interface {
-	// Certs is Certs(view, own, rng) of the prepared node.
-	Certs(rng *prng.Rand) []Cert
-	// Decide is Decide(view, own, received) of the prepared node.
-	Decide(received []Cert) bool
 }
 
 // MaxBits returns the maximum length of the given strings in bits — the

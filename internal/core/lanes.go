@@ -6,33 +6,104 @@ import (
 	"rpls/internal/prng"
 )
 
-// LaneRPLS is the optional batched extension of RPLS. A batched executor
-// runs up to 64 Monte-Carlo trials ("lanes") through one graph traversal;
-// a scheme implementing LaneRPLS generates certificates and decisions for
-// all lanes of a node in one call. It amortizes across the lanes what the
-// one-trial entry points repeat per trial — for a scheme that is not
-// prepared (see Preparer), label parsing, prime selection and any
-// coin-free check — and hands every lane's evaluation points to one
-// field.Poly.EvalMany call, which walks a short string's coefficients
-// once for all of them.
+// Preparer is the optional trial-invariant extension of RPLS. Labels are
+// fixed across the trials of a Monte-Carlo estimate, so the part of Certs
+// and Decide that depends only on a node's view and label — parsing the
+// label, choosing the field, any check that never sees a coin — can run
+// once per node instead of once per trial. Prepare does that part and
+// returns the node's Prepared state, which answers every trial. A scheme
+// without the extension is answered through its label path by a
+// LabelNode.
+type Preparer interface {
+	RPLS
+	Prepare(view View, own Label) Prepared
+}
+
+// Prepared is one node's trial-invariant state. It answers 1 to 64
+// Monte-Carlo trials ("lanes") per call, writing into storage the caller
+// owns. It draws no coins of its own, is immutable once built, and is
+// safe for concurrent use: trial-parallel workers share it read-only.
 //
-// The contract is strict bit-equivalence with the one-lane entry points:
+// The contract is strict bit-equivalence with the label path of the
+// scheme it was prepared from, for every input, malformed labels
+// included:
 //
-//   - CertsLanes fills out[l][i] for every lane l and port i < view.Deg
-//     with exactly Certs(view, own, rngs[l])[i], using the empty Cert for
-//     ports past the end of that slice. Every slot must be written — the
-//     executor hands in reused storage.
-//   - DecideLanes returns a bitmask whose bit l is exactly
+//   - Certs sets out[l][i], for every lane l and port i < view.Deg, to
+//     exactly Certs(view, own, rngs[l])[i], or to the empty Cert past the
+//     end of that slice. It writes every slot: out is reused storage.
+//   - Decide returns a mask whose bit l is exactly
 //     Decide(view, own, recv[l]).
 //
-// rngs[l] is the node's forked stream for lane l (the executor derives it
-// as prng.New(seed+l).Fork(v)), so coin draws inside a lane are the same
-// streams the sequential path would use. len(rngs) and len(recv) are at
-// most 64.
-type LaneRPLS interface {
-	RPLS
-	CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert)
-	DecideLanes(view View, own Label, recv [][]Cert) uint64
+// rngs[l] is the node's stream for lane l (the executors derive it as
+// prng.New(seed+l).Fork(v)), so the coins of a lane are the ones the label
+// path would draw for that trial.
+type Prepared interface {
+	Certs(rngs []*prng.Rand, out [][]Cert)
+	Decide(recv [][]Cert) uint64
+}
+
+// prepare returns r's node for the given view and label: r's own when it
+// implements Preparer, otherwise a LabelNode over its label path.
+func prepare(r RPLS, view View, own Label) Prepared {
+	if p, ok := r.(Preparer); ok {
+		return p.Prepare(view, own)
+	}
+	return &LabelNode{Path: r, View: view, Own: own}
+}
+
+// LabelPath is the label path of one round: a node's certificates from its
+// label and coins, and its vote on the strings it received. RPLS has it,
+// and so does the engine's Scheme.
+type LabelPath interface {
+	Certs(view View, own Label, rng *prng.Rand) []Cert
+	Decide(view View, own Label, received []Cert) bool
+}
+
+// LabelNode is the generic Prepared: it prepares nothing and answers lane
+// l by calling the label path with lane l's coins and strings. A
+// Broadcast node is a deterministic scheme's: it sends its label on every
+// port, the message of a deterministic round, without calling Certs and
+// without allocating.
+type LabelNode struct {
+	Path      LabelPath
+	View      View
+	Own       Label
+	Broadcast bool
+}
+
+// Certs implements Prepared.
+//
+//pls:hotpath
+func (n *LabelNode) Certs(rngs []*prng.Rand, out [][]Cert) {
+	for l, rng := range rngs {
+		row := out[l][:n.View.Deg]
+		if n.Broadcast {
+			for i := range row {
+				row[i] = n.Own
+			}
+			continue
+		}
+		certs := n.Path.Certs(n.View, n.Own, rng)
+		for i := range row {
+			row[i] = Cert{}
+			if i < len(certs) {
+				row[i] = certs[i]
+			}
+		}
+	}
+}
+
+// Decide implements Prepared.
+//
+//pls:hotpath
+func (n *LabelNode) Decide(recv [][]Cert) uint64 {
+	var mask uint64
+	for l, r := range recv {
+		if n.Path.Decide(n.View, n.Own, r) {
+			mask |= 1 << uint(l)
+		}
+	}
+	return mask
 }
 
 // LaneMask returns the bitmask with the low `lanes` bits set — the
@@ -44,14 +115,35 @@ func LaneMask(lanes int) uint64 {
 	return 1<<uint(lanes) - 1
 }
 
-// FingerprintLanes writes the standard fingerprint certificate — gamma
-// length prefix plus (x, A(x)) over GF(p) — for every (lane, port) pair,
-// drawing x from rngs[l].Fork(i) exactly as the one-lane schemes do, and
-// evaluating the shared polynomial at all points in one EvalMany call
-// (through cache when the scheme provides one; nil evaluates directly). It
-// is the one certificate writer of the compiled scheme — Certs and its
-// prepared form call it with one lane, CertsLanes with every lane — and
-// the core of the uniform CertsLanes.
+// FingerprintCert is the standard fingerprint certificate of s over GF(p):
+// the gamma-coded length of s, then (x, A(x)) for a point x drawn from
+// rng (Lemma A.1). The length makes a string distinguishable from itself
+// with trailing zero bits, which induces the same polynomial.
+func FingerprintCert(s bitstring.String, p uint64, rng *prng.Rand) Cert {
+	var w bitstring.Writer
+	w.WriteGamma(uint64(s.Len()))
+	field.NewFingerprint(s, p, rng).Encode(&w)
+	return w.String()
+}
+
+// ReadFingerprintCert parses a FingerprintCert that must fingerprint a
+// string of the given length over GF(p). It fails on a malformed or
+// different length, a value outside the field, and trailing bits.
+func ReadFingerprintCert(cert Cert, bits int, p uint64) (field.Fingerprint, bool) {
+	r := bitstring.NewReader(cert)
+	n, err := r.ReadGamma()
+	if err != nil || n != uint64(bits) {
+		return field.Fingerprint{}, false
+	}
+	fp, err := field.DecodeFingerprint(r, p)
+	return fp, err == nil && r.Remaining() == 0
+}
+
+// FingerprintLanes writes FingerprintCert(s, p, rngs[l].Fork(i)) for every
+// (lane, port) pair, evaluating the polynomial at all points in one
+// EvalMany call (through cache when the scheme provides one; nil evaluates
+// directly). It is the certificate writer of the prepared compiled and
+// uniform nodes.
 //
 // All certificates of a call have the same bit length, so they are framed
 // into one shared slab: two allocations per call — evaluation points and
@@ -82,85 +174,4 @@ func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, 
 			out[l][i] = w.TakeString()
 		}
 	}
-}
-
-var _ LaneRPLS = (*compiled)(nil)
-
-// CertsLanes implements LaneRPLS: the label is parsed and the field chosen
-// once per batch, and the writer of Certs — FingerprintLanes — evaluates
-// the self sub-label's polynomial at all lanes × ports points in one
-// EvalMany call.
-func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert) {
-	n := c.split(view, own)
-	if n.err != nil {
-		// Same as Certs: a malformed label sends empty certificates.
-		for l := range rngs {
-			for i := 0; i < view.Deg; i++ {
-				out[l][i] = Cert{}
-			}
-		}
-		return
-	}
-	// No cache: the self sub-label differs per node, so a shared one-entry
-	// memo would thrash.
-	FingerprintLanes(n.self, n.p, rngs, view.Deg, nil, out)
-}
-
-// DecideLanes implements LaneRPLS. Per port, each lane's certificate is
-// parsed individually (lanes fail independently under adversarial input),
-// but the replica polynomial is evaluated at all surviving lanes' points
-// in one EvalMany call, and the inner deterministic verifier — which sees
-// only the replicas, never the coins — runs once for the whole batch.
-func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
-	lanes := len(recv)
-	self, replicas, err := c.splitLabel(own, view.Deg)
-	if err != nil {
-		return 0
-	}
-	live := LaneMask(lanes)
-	for l, r := range recv {
-		if len(r) != view.Deg {
-			live &^= 1 << uint(l)
-		}
-	}
-	buf := make([]uint64, 3*lanes)
-	xs, ys, got := buf[:lanes], buf[lanes:2*lanes], buf[2*lanes:]
-	for i := 0; i < view.Deg && live != 0; i++ {
-		rep := replicas[i]
-		p := field.PrimeForLength(rep.Len())
-		for l := 0; l < lanes; l++ {
-			xs[l], ys[l] = 0, 0
-			if live&(1<<uint(l)) == 0 {
-				continue
-			}
-			r := bitstring.NewReader(recv[l][i])
-			n, err := r.ReadGamma()
-			if err != nil || int(n) != rep.Len() {
-				live &^= 1 << uint(l)
-				continue
-			}
-			fp, err := field.DecodeFingerprint(r, p)
-			if err != nil || r.Remaining() != 0 {
-				live &^= 1 << uint(l)
-				continue
-			}
-			xs[l], ys[l] = fp.X, fp.Y
-		}
-		if live == 0 {
-			break
-		}
-		field.NewPoly(rep, p).EvalMany(xs, got)
-		for l := 0; l < lanes; l++ {
-			if live&(1<<uint(l)) != 0 && got[l] != ys[l] {
-				live &^= 1 << uint(l)
-			}
-		}
-	}
-	if live == 0 {
-		return 0
-	}
-	if !c.inner.Verify(view, self, replicas) {
-		return 0
-	}
-	return live
 }

@@ -12,14 +12,13 @@ import (
 	"rpls/internal/schemes/uniform"
 )
 
-// laneSchemes enumerates the LaneRPLS implementations under test together
-// with a config on which their labels are valid. The compiled scheme
-// exercises the replica-splitting path — over MST, whose inner verifier
-// carries the claim, also under malformed labels — uniform the
+// laneSchemes enumerates the core.Preparer implementations under test
+// together with a config on which their labels are valid. The compiled
+// scheme exercises the replica-splitting path — over MST, whose inner
+// verifier carries the claim, also under malformed labels — uniform the
 // shared-polynomial path, the truncated variant a fixed tiny field
-// (p = 2), and Boost both the lane-capable delegation (uniform inner) and
-// the per-lane fallback (coinRPLS inner, which does not implement
-// LaneRPLS).
+// (p = 2), and Boost both a prepared inner node (uniform) and a LabelNode
+// inner (coinRPLS, which does not implement Preparer).
 func laneSchemes(t *testing.T) []struct {
 	name   string
 	scheme core.RPLS
@@ -161,29 +160,27 @@ func certsEqual(a, b []core.Cert) bool {
 	return true
 }
 
-// TestLanesMatchPerLane pins the LaneRPLS contract: CertsLanes slot (l, i)
-// is bit-identical to Certs with rngs[l] (empty past the short tail), and
-// DecideLanes bit l equals Decide on lane l's certificates — both on the
-// honest exchange and with one lane's certificate corrupted. A scheme that
-// also implements Preparer must match the same one-lane entry points from
-// its prepared nodes: Prepared.Certs(rng) equals Certs, and
-// Prepared.Decide equals Decide, on every exchange checked here.
+// TestLanesMatchPerLane pins the core.Prepared contract for core's own
+// node implementations: Certs slot (l, i) of the prepared node is
+// bit-identical to the label path's Certs with rngs[l] (empty past the
+// short tail), and Decide bit l equals the label path's Decide on lane l's
+// certificates — both on the honest exchange and with one lane's
+// certificate corrupted. The registry-wide counterpart, over every
+// registered scheme and the engine's wrappers, is the engine's
+// TestNodesMatchLabelPath.
 func TestLanesMatchPerLane(t *testing.T) {
 	for _, tc := range laneSchemes(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ls, ok := tc.scheme.(core.LaneRPLS)
+			p, ok := tc.scheme.(core.Preparer)
 			if !ok {
-				t.Fatalf("%s does not implement LaneRPLS", tc.scheme.Name())
+				t.Fatalf("%s does not implement Preparer", tc.scheme.Name())
 			}
-			var prepared []core.Prepared
-			if p, ok := tc.scheme.(core.Preparer); ok {
-				prepared = make([]core.Prepared, tc.cfg.G.N())
-				for v := range prepared {
-					prepared[v] = p.Prepare(core.ViewOf(tc.cfg, v), tc.labels[v])
-				}
+			n := tc.cfg.G.N()
+			nodes := make([]core.Prepared, n)
+			for v := range nodes {
+				nodes[v] = p.Prepare(core.ViewOf(tc.cfg, v), tc.labels[v])
 			}
 			for _, lanes := range []int{1, 3, 64} {
-				n := tc.cfg.G.N()
 				// Per-lane reference streams and batched streams: trial l at
 				// node v forks prng.New(seed+l).Fork(v), as the executors do.
 				want := make([][][]core.Cert, lanes) // lane -> node -> certs
@@ -192,13 +189,6 @@ func TestLanesMatchPerLane(t *testing.T) {
 					for v := 0; v < n; v++ {
 						rng := prng.New(uint64(1000 + l)).Fork(uint64(v))
 						want[l][v] = tc.scheme.Certs(core.ViewOf(tc.cfg, v), tc.labels[v], rng)
-						if prepared == nil {
-							continue
-						}
-						got := prepared[v].Certs(prng.New(uint64(1000 + l)).Fork(uint64(v)))
-						if !certsEqual(got, want[l][v]) {
-							t.Fatalf("lanes=%d node %d lane %d: Prepared.Certs != Certs", lanes, v, l)
-						}
 					}
 				}
 				for v := 0; v < n; v++ {
@@ -213,7 +203,7 @@ func TestLanesMatchPerLane(t *testing.T) {
 							out[l][i] = core.Cert(bitstring.FromBytes([]byte{0xA5, 0x5A}))
 						}
 					}
-					ls.CertsLanes(view, tc.labels[v], rngs, out)
+					nodes[v].Certs(rngs, out)
 					for l := 0; l < lanes; l++ {
 						for i := 0; i < view.Deg; i++ {
 							var ref core.Cert
@@ -221,13 +211,13 @@ func TestLanesMatchPerLane(t *testing.T) {
 								ref = want[l][v][i]
 							}
 							if !out[l][i].Equal(ref) {
-								t.Fatalf("lanes=%d node %d lane %d port %d: CertsLanes != Certs", lanes, v, l, i)
+								t.Fatalf("lanes=%d node %d lane %d port %d: node Certs != Certs", lanes, v, l, i)
 							}
 						}
 					}
 				}
-				// Exchange honestly, then decide — batch vs per-lane — and once
-				// more with a corrupted lane to hit the rejection paths.
+				// Exchange honestly, then decide — node vs label path — and
+				// once more with a corrupted lane to hit the rejection paths.
 				for _, corrupt := range []bool{false, true} {
 					for v := 0; v < n; v++ {
 						view := core.ViewOf(tc.cfg, v)
@@ -244,16 +234,12 @@ func TestLanesMatchPerLane(t *testing.T) {
 								recv[l][0] = recv[l][0].Truncate(recv[l][0].Len() / 2)
 							}
 						}
-						got := ls.DecideLanes(view, tc.labels[v], recv)
+						got := nodes[v].Decide(recv)
 						for l := 0; l < lanes; l++ {
 							ref := tc.scheme.Decide(view, tc.labels[v], recv[l])
 							if ref != (got&(1<<uint(l)) != 0) {
-								t.Fatalf("corrupt=%v lanes=%d node %d lane %d: DecideLanes bit %v, Decide %v",
+								t.Fatalf("corrupt=%v lanes=%d node %d lane %d: node Decide bit %v, Decide %v",
 									corrupt, lanes, v, l, got&(1<<uint(l)) != 0, ref)
-							}
-							if prepared != nil && prepared[v].Decide(recv[l]) != ref {
-								t.Fatalf("corrupt=%v lanes=%d node %d lane %d: Prepared.Decide %v, Decide %v",
-									corrupt, lanes, v, l, !ref, ref)
 							}
 						}
 					}

@@ -10,16 +10,16 @@ import (
 	"rpls/internal/schemes/uniform"
 )
 
-// The batched executor's performance contract, asserted dynamically: the
-// deterministic fallback stays zero-alloc once warm (the //pls:hotpath
-// static half is plsvet's hotalloc analyzer), the lane path amortizes the
-// schemes' per-certificate allocations across a whole batch, and batching
-// actually delivers a wall-clock multiple over Sequential on the
-// estimator workload the E14/E15 benchmarks are built from.
+// The batched executor's performance contract, asserted dynamically: a
+// deterministic round stays zero-alloc once warm (the //pls:hotpath
+// static half is plsvet's hotalloc analyzer), the wide lanes amortize the
+// nodes' per-call allocations across a whole batch, and batching actually
+// delivers a wall-clock multiple over Sequential's one-lane batches on
+// the estimator workload the E14/E15 benchmarks are built from.
 
-// TestBatchedRoundAllocs mirrors TestSequentialRoundAllocs for the fourth
-// executor: a deterministic scheme rides the embedded Sequential, so a warm
-// batched round must allocate nothing.
+// TestBatchedRoundAllocs mirrors TestSequentialRoundAllocs for Batched: a
+// deterministic scheme's label-broadcast nodes live in reused scratch, so
+// a warm batched round must allocate nothing.
 func TestBatchedRoundAllocs(t *testing.T) {
 	cfg := graph.NewConfig(graph.RandomTree(128, prng.New(3)))
 	s := flatScheme{}

@@ -14,12 +14,15 @@ import (
 // distinct-message count (Stats.DistinctMessages) without inspecting
 // payloads.
 
-// capScheme caps a randomized scheme's per-round message multiplicity. It
-// transforms the certificate vector — natively via core.CappedRPLS when
-// the scheme degrades itself, by core.CapReplicate otherwise — and
-// delegates everything else, so votes and wire accounting flow through
-// the unchanged executor paths. Deterministic schemes are never wrapped:
-// they broadcast their label on every port already, satisfying every cap.
+// capScheme caps a randomized scheme's per-round message multiplicity. Its
+// label path transforms the certificate vector — natively via
+// core.CappedRPLS when the scheme degrades itself, by core.CapReplicate
+// otherwise — and delegates everything else. The executors prepare the
+// replication shape as the inner scheme's nodes plus a CapReplicate of
+// each node's strings, and the native shape as core.LabelNodes over this
+// label path: merged class messages are the one wire format no prepared
+// node reads. Deterministic schemes are never wrapped: they broadcast
+// their label on every port already, satisfying every cap.
 type capScheme struct {
 	inner  Scheme
 	capped core.CappedRPLS // non-nil when the underlying RPLS degrades natively

@@ -10,20 +10,29 @@
 // round; FromPLS and FromRPLS adapt the core model types onto it, so a
 // single round implementation serves both models.
 //
-// The engine has one round kernel and one wide mode of it:
+// Every trial is answered through one per-trial contract: the engine
+// prepares one core.Prepared node per graph node — once per estimate, and
+// once per Round call for Run and Verify — and a node answers 1 to 64
+// trials ("lanes") per call. Compiled, uniform and boosted schemes bring
+// their own nodes; every other scheme shape (deterministic label
+// broadcast, coloring, natively capped rounds, test fixtures) is answered
+// by a core.LabelNode over its label path. The label path (Certs and
+// Decide) stays the paper's model and the reference every node is tested
+// against. Both executors run the one lane loop over those nodes (see
+// kernel) and differ only in their widest batch:
 //
-//   - Sequential — the round kernel: one Round runs a scheme's t >= 1
-//     rounds (the classic round is t = 1) from strings derived once per
-//     node, meters every message through one function, and reuses its cert
-//     and receive buffers across rounds, so the deterministic single round
-//     allocates nothing (Monte-Carlo estimation, self-stabilization
-//     monitors, benchmarks).
-//   - Batched — the kernel's wide mode for Monte-Carlo throughput: a CSR
-//     adjacency snapshot plus per-port certificate bit-planes push up to 64
-//     trials of a lane-aware single-round scheme through one graph
-//     traversal, AND-reducing per-node vote masks (see batched.go for the
-//     lane contract). Estimate hands it whole trial chunks; every other
-//     scheme shape falls back to its embedded Sequential.
+//   - Sequential — one lane: one Round runs a scheme's t >= 1 rounds (the
+//     classic round is t = 1) from strings derived once per node, meters
+//     every message through one function, and reuses its buffers across
+//     rounds, so the deterministic round allocates nothing (Monte-Carlo
+//     estimation, self-stabilization monitors, benchmarks).
+//   - Batched — up to 64 lanes, for Monte-Carlo throughput: a CSR
+//     adjacency snapshot plus lane-major certificate planes push up to 64
+//     trials through one graph traversal, AND-reducing per-node vote
+//     masks. Estimate hands it whole trial chunks.
+//
+// A coin-free scheme runs once per estimate on either executor, since
+// every trial is the same execution.
 //
 // NewExecutor resolves the executor names the CLIs and campaign specs use.
 // Both executors produce identical votes and stats for the same seed, and
@@ -59,11 +68,12 @@
 // is broadcast, 0 leaves classic unicast). Ports are partitioned
 // round-robin into core.PortClass classes; schemes implementing
 // core.CappedRPLS merge their certificates natively (core.CapMerge wire
-// format), others degrade through max-length replication
-// (core.CapReplicate), and deterministic label broadcast satisfies every
-// cap as is. Stats.DistinctMessages / Summary.TotalDistinct meter the
-// constrained quantity under the same byte-identity guarantee as the
-// other counters. See DESIGN.md, "Congestion-bounded verification".
+// format) on their label path, others degrade through max-length
+// replication of each node's strings (core.CapReplicate), and
+// deterministic label broadcast satisfies every cap as is.
+// Stats.DistinctMessages / Summary.TotalDistinct meter the constrained
+// quantity under the same byte-identity guarantee as the other counters.
+// See DESIGN.md, "Congestion-bounded verification".
 //
 // Observability: the estimator, the batched lanes, and the soundness
 // fan-out record write-only telemetry into internal/obs (per-executor
@@ -84,7 +94,9 @@ import (
 // Scheme is the unified round abstraction. A deterministic scheme reports
 // Deterministic() == true and never has Certs called: executors send the
 // node's label on every port instead, which keeps the deterministic hot
-// path free of certificate allocations.
+// path free of certificate allocations. Certs and Decide are the label
+// path: the executors answer trials through prepared nodes that are
+// bit-equivalent to it (see core.Prepared).
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string

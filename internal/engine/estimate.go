@@ -7,7 +7,6 @@ import (
 	"rpls/internal/core"
 	"rpls/internal/graph"
 	"rpls/internal/obs"
-	"rpls/internal/prng"
 )
 
 // The trial-parallel Monte-Carlo estimator.
@@ -25,8 +24,8 @@ import (
 // speculatively computed later trials are discarded.
 //
 // Labels are fixed across trials, so before the first chunk the estimator
-// prepares every node of a core.Preparer scheme once (see prepare): the
-// trials then run only the coin-dependent part of Certs and Decide, with
+// prepares every node once (see prepared): the trials then run only the
+// coin-dependent part of each node's certificates and vote, with
 // bit-identical results.
 
 // estimateChunk caps the number of trials computed ahead of the serial
@@ -141,7 +140,13 @@ func (o *options) estimateLabels(s Scheme, c *graph.Config, labels []core.Label)
 	obsEstimates.Inc()
 	sp := obs.Begin("engine.estimate")
 	execs := o.shardExecutors()
-	s = prepare(s, c, labels, execs[0])
+	// The prepared nodes live for one estimate only: configurations are
+	// mutated in place between calls, so they are never memoized on the
+	// scheme or the executor.
+	t0 := obsPrepareNanos.Start()
+	var p prepared
+	p.reset(s, c, labels)
+	obsPrepareNanos.Stop(t0)
 
 	// With an early-stop rule active, compute trials ahead on the fixed
 	// geometric chunk schedule; otherwise one chunk covers the whole run.
@@ -160,7 +165,7 @@ scan:
 			out = make([]trialOutcome, hi-lo)
 		}
 		out = out[:hi-lo]
-		runTrials(execs, s, c, labels, o.seed, lo, hi, out)
+		runTrials(execs, s, &p, c, labels, o.seed, lo, hi, out)
 		obsChunkTrials.Observe(int64(hi - lo))
 		// Fold outcomes in serial trial order; the stopping rule sees
 		// exactly the prefix a serial run would have seen.
@@ -207,78 +212,6 @@ scan:
 	return sum
 }
 
-// prepare returns s with its base FromRPLS adapter answering Certs and
-// Decide from per-node state built once for this estimate, when that
-// adapter's RPLS implements core.Preparer; otherwise s itself (see
-// prepareBase). s is left alone when Batched's lanes will run every
-// trial: they already parse once per batch. That check is made once, on
-// the scheme the executor receives, and not again under the wrappers:
-// Batched runs sharded schemes on its embedded kernel, so those must be
-// prepared. The prepared nodes live for one estimate only —
-// configurations are mutated in place between calls (see
-// scratch.ensure), so they are never memoized on the scheme or the
-// executor.
-func prepare(s Scheme, c *graph.Config, labels []core.Label, exec Executor) Scheme {
-	if _, ok := exec.(*Batched); ok {
-		if _, _, lanes := laneScheme(s); lanes {
-			return s
-		}
-	}
-	return prepareBase(s, c, labels)
-}
-
-// prepareBase prepares the FromRPLS adapter under s. Sharding and
-// replication only reframe the base strings, so those wrappers stay around
-// the prepared base. A natively capped scheme answers through
-// CapCerts/CapDecide, which a prepared node does not implement, so it
-// keeps the label path, as does every other shape.
-func prepareBase(s Scheme, c *graph.Config, labels []core.Label) Scheme {
-	switch w := s.(type) {
-	case sharded:
-		w.Scheme = prepareBase(w.Scheme, c, labels)
-		return w
-	case capScheme:
-		if w.capped == nil {
-			w.inner = prepareBase(w.inner, c, labels)
-		}
-		return w
-	}
-	r, ok := AsRPLS(s)
-	if !ok {
-		return s
-	}
-	p, ok := r.(core.Preparer)
-	if !ok {
-		return s
-	}
-	t0 := obsPrepareNanos.Start()
-	nodes := make([]core.Prepared, len(labels))
-	for v := range nodes {
-		nodes[v] = p.Prepare(core.ViewOf(c, v), labels[v])
-	}
-	obsPrepareNanos.Stop(t0)
-	return preparedScheme{Scheme: s, nodes: nodes}
-}
-
-// preparedScheme answers the round kernel's Certs and Decide from the
-// prepared node at view.Node and delegates everything else to the
-// FromRPLS adapter it wraps. That relies on an invariant of every
-// executor: the view handed to Certs and Decide for node v is
-// core.ViewOf(c, v), passed next to labels[v] — the view and label the
-// node was prepared from. Workers share nodes read-only.
-type preparedScheme struct {
-	Scheme
-	nodes []core.Prepared
-}
-
-func (w preparedScheme) Certs(view core.View, _ core.Label, rng *prng.Rand) []core.Cert {
-	return w.nodes[view.Node].Certs(rng)
-}
-
-func (w preparedScheme) Decide(view core.View, _ core.Label, received []core.Cert) bool {
-	return w.nodes[view.Node].Decide(received)
-}
-
 // shardExecutors resolves the worker executors: the caller's executor
 // first, then one clone per extra worker.
 func (o *options) shardExecutors() []Executor {
@@ -294,14 +227,14 @@ func (o *options) shardExecutors() []Executor {
 // Workers take contiguous trial ranges; since every slot is indexed by
 // trial, the merge is order-independent and the result identical for any
 // worker count.
-func runTrials(execs []Executor, s Scheme, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
+func runTrials(execs []Executor, s Scheme, p *prepared, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
 	span := hi - lo
 	w := len(execs)
 	if w > span {
 		w = span
 	}
 	if w <= 1 {
-		oneWorker(execs[0], s, c, labels, seed, lo, hi, out)
+		oneWorker(execs[0], s, p, c, labels, seed, lo, hi, out)
 		return
 	}
 	var wg sync.WaitGroup
@@ -311,7 +244,7 @@ func runTrials(execs []Executor, s Scheme, c *graph.Config, labels []core.Label,
 			defer wg.Done()
 			start := lo + i*span/w
 			end := lo + (i+1)*span/w
-			oneWorker(execs[i], s, c, labels, seed, start, end, out[start-lo:end-lo])
+			oneWorker(execs[i], s, p, c, labels, seed, start, end, out[start-lo:end-lo])
 		}(i)
 	}
 	wg.Wait()
@@ -320,25 +253,21 @@ func runTrials(execs []Executor, s Scheme, c *graph.Config, labels []core.Label,
 // oneWorker runs trials [lo, hi) on a single executor. This is the
 // estimator's inner loop — every Monte-Carlo trial of every campaign cell
 // passes through it — so it carries the hotalloc contract: per-trial work
-// must stay on the executor's reused scratch.
+// must stay on the executor's reused scratch. The engine's executors run
+// the prepared nodes in their lane loop; any other Executor (the tests'
+// goroutine-per-node oracle) runs its own Round trial by trial.
 //
 //pls:hotpath
-func oneWorker(exec Executor, s Scheme, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
-	if b, ok := exec.(*Batched); ok {
-		// The batched executor consumes the whole range at once when the
-		// batch path applies: chunks of up to 64 trials share one graph
-		// traversal. Outcomes are written per trial index, so the Summary is
-		// unchanged. Otherwise its embedded kernel runs the trials below.
-		if b.runBatch(s, c, labels, seed, lo, hi, out) {
-			return
-		}
-		exec = &b.seq
+func oneWorker(exec Executor, s Scheme, p *prepared, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
+	if e, ok := exec.(laneExecutor); ok {
+		k, width := e.lanes()
+		k.trials(p, width, c, labels, seed, lo, hi, out)
+		return
 	}
-	h := trialHistogram(exec)
 	for t := lo; t < hi; t++ {
-		t0 := h.Start()
+		t0 := obsTrialOther.Start()
 		votes, st := exec.Round(s, c, labels, seed+uint64(t))
-		h.Stop(t0)
+		obsTrialOther.Stop(t0)
 		out[t-lo] = trialOutcome{accepted: AllTrue(votes), st: st}
 	}
 }

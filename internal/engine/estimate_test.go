@@ -63,7 +63,8 @@ func corruptedCompiled(t *testing.T) (core.RPLS, *graph.Config, []core.Label) {
 }
 
 // labelPath hides the optional extensions of the RPLS it wraps —
-// core.Preparer among them — so the estimator runs the label path.
+// core.Preparer among them — so the executors answer it through
+// core.LabelNodes over its label path.
 type labelPath struct{ core.RPLS }
 
 // TestEstimateParallelDeterminism extends the executor-parity guarantee to
@@ -95,8 +96,8 @@ func TestEstimateParallelDeterminism(t *testing.T) {
 	s, bad, labels := corruptedUniform(t, 30, 7)
 	schemes = append(schemes, input{"uniform-corrupted", s, bad, labels, nil})
 
-	// A compiled scheme with interior acceptance rate: prepared on the
-	// kernel, lanes on Batched, the label path for the reference.
+	// A compiled scheme with interior acceptance rate: prepared nodes on
+	// both executors, the label path for the reference.
 	cs, cbad, clabels := corruptedCompiled(t)
 	schemes = append(schemes, input{"compiled-corrupted", engine.FromRPLS(cs), cbad, clabels,
 		engine.FromRPLS(labelPath{cs})})

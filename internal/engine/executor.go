@@ -63,89 +63,13 @@ func NewExecutor(name string) (Executor, error) {
 	return nil, optionErr("WithExecutor", "unknown executor %q (%s)", name, strings.Join(ExecutorNames(), ", "))
 }
 
-// scratch holds the buffers an executor reuses across rounds: one receive
-// window per node carved out of a single flat slice, the per-node cert
-// slices, and the vote vector. Reusing them keeps steady-state rounds free
-// of per-round allocations on the executor side.
-type scratch struct {
-	offs  []int // offs[v] is the start of v's receive window; offs[n] = 2m
-	recv  []core.Cert
-	certs [][]core.Cert
-	votes []bool
-}
-
-// ensure resizes the scratch for the graph. Offsets are recomputed every
-// round because configurations are mutated in place by corruption helpers.
-// The makes below are capacity-guarded grows: they fire only when the graph
-// outgrows the scratch, so steady-state rounds never reach them.
+// meter accounts one b-bit message leaving a node: the wire total grows
+// by b, and b competes for κ (MaxCertBits) and the port maximum. It is the
+// single definition of all three quantities.
 //
 //pls:hotpath
-func (sc *scratch) ensure(g *graph.Graph) {
-	n := g.N()
-	if cap(sc.offs) < n+1 {
-		sc.offs = make([]int, n+1) //plsvet:allow hotalloc — capacity-guarded grow, amortized across rounds
-	}
-	sc.offs = sc.offs[:n+1]
-	total := 0
-	for v := 0; v < n; v++ {
-		sc.offs[v] = total
-		total += g.Degree(v)
-	}
-	sc.offs[n] = total
-	if cap(sc.recv) < total {
-		sc.recv = make([]core.Cert, total) //plsvet:allow hotalloc — capacity-guarded grow, amortized across rounds
-	}
-	sc.recv = sc.recv[:total]
-	if cap(sc.certs) < n {
-		sc.certs = make([][]core.Cert, n) //plsvet:allow hotalloc — capacity-guarded grow, amortized across rounds
-	}
-	sc.certs = sc.certs[:n]
-	if cap(sc.votes) < n {
-		sc.votes = make([]bool, n) //plsvet:allow hotalloc — capacity-guarded grow, amortized across rounds
-	}
-	sc.votes = sc.votes[:n]
-}
-
-// window returns node v's receive buffer, sized to its degree.
-//
-//pls:hotpath
-func (sc *scratch) window(v int) []core.Cert {
-	return sc.recv[sc.offs[v]:sc.offs[v+1]]
-}
-
-// gather fills node v's receive window from the generated certificates (or,
-// for deterministic schemes, from the neighbors' labels) and returns it.
-//
-//pls:hotpath
-func (sc *scratch) gather(det bool, c *graph.Config, labels []core.Label, v int) []core.Cert {
-	recv := sc.window(v)
-	for i := range recv {
-		h := c.G.Neighbor(v, i+1)
-		if det {
-			recv[i] = labels[h.To]
-			continue
-		}
-		certs := sc.certs[h.To]
-		if h.RevPort-1 < len(certs) {
-			recv[i] = certs[h.RevPort-1]
-		} else {
-			recv[i] = core.Cert{}
-		}
-	}
-	return recv
-}
-
-// meter accounts k copies of one b-bit message leaving a node: the wire
-// total grows by k·b and, when anything is sent, b competes for κ
-// (MaxCertBits) and the port maximum. It is the single definition of both
-// quantities, shared by sendStats and the batched lanes.
-//
-//pls:hotpath
-func (st *Stats) meter(b, k int) {
-	if k == 0 {
-		return
-	}
-	st.TotalWireBits += int64(k * b)
+func (st *Stats) meter(b int) {
+	st.TotalWireBits += int64(b)
 	if b > st.MaxCertBits {
 		st.MaxCertBits = b
 	}
@@ -158,8 +82,8 @@ func (st *Stats) meter(b, k int) {
 // core.Shard's layout, one per round: the widest shard, of
 // w = core.ShardWidth(b, t) bits, is metered as a message and the other
 // b − w bits join the wire total. That is exactly what metering each
-// materialized shard through meter(len, 1) gives, since no shard is wider
-// than the first; t = 1 is meter(b, 1).
+// materialized shard through meter gives, since no shard is wider than
+// the first; t = 1 is meter(b).
 //
 //pls:hotpath
 func (st *Stats) meterShards(b, t int) {
@@ -167,41 +91,269 @@ func (st *Stats) meterShards(b, t int) {
 	if t > 1 {
 		w = core.ShardWidth(b, t)
 	}
-	st.meter(w, 1)
+	st.meter(w)
 	st.TotalWireBits += int64(b - w)
 }
 
-// sendStats accumulates the cost of everything node v puts on the wire in
-// one trial of t rounds. It only bumps scalar counters on the caller's
-// Stats. mult is the scheme's multiplicity cap (0 = unconstrained); the
-// structural distinct-message count is derived from it, never from
-// payload bytes. Every string is sent as t shards, so each port carries t
-// messages and the distinct count is per round.
+// prepared is a scheme made ready for the lane loop on one configuration
+// and label assignment: one core.Prepared node per graph node, and what the
+// wrappers around the base scheme change in the loop. Sharding changes
+// only the metering, and replication only rewrites each node's strings, so
+// the nodes are those of the base scheme under both wrappers. A natively
+// capped scheme merges and splits class messages through
+// CappedRPLS.CapCerts/CapDecide, which no node implements: it is the one
+// shape whose nodes are LabelNodes over the capped scheme itself. Once
+// built, a prepared scheme is read-only; the estimator's workers share it.
+type prepared struct {
+	nodes     []core.Prepared
+	adapters  []core.LabelNode // storage of the label-path nodes, reused across rounds
+	det       bool             // a deterministic round: one distinct message per node
+	coinFree  bool             // every trial is the same execution (IsCoinFree)
+	rounds    int              // each string is metered as the shards of this many rounds
+	mult      int              // the multiplicity cap; 0 is unconstrained
+	replicate bool             // each row is rewritten by core.CapReplicate under mult
+}
+
+// reset prepares s for the configuration and labels, reusing the
+// receiver's storage: a scheme with a core.Preparer behind its FromRPLS
+// adapter prepares its own nodes; every other scheme — deterministic,
+// natively capped, or adapted from neither core type — is answered by
+// core.LabelNodes, which allocate nothing here.
 //
 //pls:hotpath
-func sendStats(det bool, mult, rounds int, c *graph.Config, labels []core.Label, certs []core.Cert, v int, st *Stats) {
-	deg := c.G.Degree(v)
-	st.Messages += rounds * deg
-	st.DistinctMessages += int64(rounds) * distinctCount(det, mult, deg)
-	if det {
-		// The message on every port is the node's label: κ (Definition 2.1)
-		// is the largest label actually transmitted, not zero.
-		st.meter(labels[v].Len(), deg)
-		return
+func (p *prepared) reset(s Scheme, c *graph.Config, labels []core.Label) {
+	p.det, p.coinFree, p.rounds, p.mult = s.Deterministic(), IsCoinFree(s), Rounds(s), Multiplicity(s)
+	p.replicate = false
+	if w, ok := s.(capScheme); ok && w.capped == nil {
+		s, p.replicate = w.inner, true
 	}
-	if len(certs) > deg {
-		certs = certs[:deg]
+	if w, ok := s.(sharded); ok {
+		s = w.Scheme
 	}
-	for _, cert := range certs {
-		st.meterShards(cert.Len(), rounds)
+	var pr core.Preparer
+	if r, ok := AsRPLS(s); ok {
+		pr, _ = r.(core.Preparer)
+	}
+	n := c.G.N()
+	p.nodes = grow(p.nodes, n)
+	if pr == nil {
+		p.adapters = grow(p.adapters, n)
+	}
+	for v := range p.nodes {
+		view := core.ViewOf(c, v)
+		if pr != nil {
+			p.nodes[v] = pr.Prepare(view, labels[v])
+			continue
+		}
+		p.adapters[v] = core.LabelNode{Path: s, View: view, Own: labels[v], Broadcast: s.Deterministic()}
+		p.nodes[v] = &p.adapters[v]
 	}
 }
 
-// Sequential is the engine's round kernel: one goroutine, buffers reused
-// across rounds. It runs every scheme shape — deterministic or randomized,
-// capped or not, one round or t — and backs Monte-Carlo estimation,
-// monitors, benchmarks, and every path Batched does not widen into lanes.
-type Sequential struct{ sc scratch }
+// certs writes node v's strings for every lane into rows: the node's
+// certificates, replicated per port class when the cap degrades by
+// replication. The rewrite is byte for byte what capScheme.Certs does on
+// the label path.
+//
+//pls:hotpath
+func (p *prepared) certs(v int, rngs []*prng.Rand, rows [][]core.Cert) {
+	p.nodes[v].Certs(rngs, rows)
+	if p.replicate {
+		for _, row := range rows {
+			core.CapReplicate(row, p.mult)
+		}
+	}
+}
+
+// kernel is the one lane loop both executors run, with its reused
+// scratch. It snapshots the configuration's adjacency into a CSR layout
+// and runs up to 64 Monte-Carlo trials ("lanes") through one traversal:
+// every node's prepared node writes its lanes' strings straight into a
+// lane-major plane indexed by CSR slot, each lane's plane row is metered,
+// and every node decides all lanes from windows gathered through one
+// RevEdge lookup per (lane, port), AND-reducing per-node vote masks into
+// per-trial acceptance. Lane l of a batch starting at trial t runs node
+// streams prng.New(seed+t+l).Fork(v), so votes and Stats do not depend on
+// the lane width. Sequential runs the loop one lane wide, Batched up to 64.
+type kernel struct {
+	csr      graph.CSR
+	plane    []core.Cert // lane-major send plane: slot e of lane l at [l*slots+e]
+	recv     []core.Cert // lane-major receive windows, maxDeg per lane
+	votes    []bool
+	round    prepared // the nodes of the last Round call, reused
+	rows     [64][]core.Cert
+	windows  [64][]core.Cert
+	rngs     [64]*prng.Rand // rngs[l] points at rngVals[l]
+	rngVals  [64]prng.Rand
+	rootVals [64]prng.Rand
+
+	// Outcome of the last run: bit l of accept is lane l's acceptance and
+	// stats[l] its exact Stats.
+	accept uint64
+	stats  [64]Stats
+}
+
+// laneExecutor is implemented by the engine's executors: their lane loop
+// and its widest batch.
+type laneExecutor interface {
+	lanes() (*kernel, int)
+}
+
+// grow returns s resized to n, reallocating only when n exceeds its
+// capacity, so steady-state rounds reuse the storage.
+//
+//pls:hotpath
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, n) //plsvet:allow hotalloc — capacity-guarded grow, amortized across rounds
+	}
+	return s[:n]
+}
+
+// Round implements Executor for every t >= 1, the classic round of §2.1
+// being t = 1: one trial at seed runs as a one-lane batch, from nodes
+// prepared for this call. The deterministic round is the zero-alloc hot
+// path: the plsvet hotalloc analyzer rejects allocating constructs in
+// every //pls:hotpath function at the AST level,
+// TestSequentialRoundAllocs and TestBatchedRoundAllocs assert the warm
+// round allocates nothing, and the benchgate allocation band locks the
+// measured steady state in CI.
+//
+//pls:hotpath
+func (k *kernel) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
+	k.round.reset(s, c, labels)
+	k.run(&k.round, c, labels, seed, 1, true)
+	return k.votes, k.stats[0]
+}
+
+// trials executes trials [lo, hi) at seeds seed+lo … seed+hi−1 and writes
+// outcome t to out[t-lo]. A coin-free scheme runs once and is replicated;
+// any other runs in batches of up to width lanes, narrowed by the plane
+// budget.
+//
+//pls:hotpath
+func (k *kernel) trials(p *prepared, width int, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
+	if p.coinFree {
+		// Every trial of a coin-free scheme is the same execution.
+		obsBatchCoinFree.Inc()
+		k.run(p, c, labels, seed+uint64(lo), 1, false)
+		o := trialOutcome{accepted: k.accept != 0, st: k.stats[0]}
+		for t := lo; t < hi; t++ {
+			out[t-lo] = o
+		}
+		return
+	}
+	timer := obsTrialSequential
+	if width > 1 {
+		timer = obsBatchNanos
+		if w := laneWidth(2 * c.G.M()); w < width {
+			// The plane budget, not the trial count, capped the lane width.
+			obsBatchNarrowed.Inc()
+			width = w
+		}
+	}
+	for t := lo; t < hi; t += width {
+		w := min(width, hi-t)
+		t0 := timer.Start()
+		k.run(p, c, labels, seed+uint64(t), w, false)
+		timer.Stop(t0)
+		if width > 1 {
+			obsBatches.Inc()
+			obsBatchLanes.Observe(int64(w))
+		}
+		for l := 0; l < w; l++ {
+			out[t-lo+l] = trialOutcome{accepted: k.accept&(1<<uint(l)) != 0, st: k.stats[l]}
+		}
+	}
+}
+
+// ensure sizes the plane, the receive windows, and the vote vector for a
+// batch of the given width over the current CSR snapshot, and points the
+// lane streams at their storage.
+//
+//pls:hotpath
+func (k *kernel) ensure(width int) {
+	n, slots := k.csr.N(), k.csr.Slots()
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, k.csr.Degree(v))
+	}
+	k.plane = grow(k.plane, width*slots)
+	k.recv = grow(k.recv, width*maxDeg)
+	k.votes = grow(k.votes, n)
+	for l := 0; l < width; l++ {
+		k.rngs[l] = &k.rngVals[l]
+	}
+}
+
+// run is the lane loop: width trials, lane l at seed firstSeed+l, through
+// one CSR rebuild, one certificate traversal, one metering scan, and one
+// decide traversal. Every string is metered at its sender as the
+// p.rounds shards of core.Shard's layout; the receiver decides on the
+// whole string, which is bit for bit the round-order concatenation of
+// those shards. When needVotes is set, lane 0's per-node votes land in
+// k.votes.
+//
+//pls:hotpath
+func (k *kernel) run(p *prepared, c *graph.Config, labels []core.Label, firstSeed uint64, width int, needVotes bool) {
+	k.csr.Reset(c.G)
+	k.ensure(width)
+	n, slots := k.csr.N(), k.csr.Slots()
+	rngs, rows, windows := k.rngs[:width], k.rows[:width], k.windows[:width]
+	for l := range rngs {
+		k.rootVals[l] = *prng.New(firstSeed + uint64(l))
+	}
+
+	distinct := int64(0)
+	for v := 0; v < n; v++ {
+		base, deg := k.csr.RowStart[v], k.csr.Degree(v)
+		for l := range rngs {
+			k.rngVals[l] = *k.rootVals[l].Fork(uint64(v))
+			rows[l] = k.plane[l*slots+base : l*slots+base+deg]
+		}
+		p.certs(v, rngs, rows)
+		distinct += distinctCount(p.det, p.mult, deg)
+	}
+
+	// The structural distinct-message count is lane-invariant: it depends
+	// on degrees and the cap, not on coins.
+	st0 := Stats{Rounds: p.rounds, MaxLabelBits: core.MaxBits(labels),
+		Messages: p.rounds * slots, DistinctMessages: int64(p.rounds) * distinct}
+	for l := 0; l < width; l++ {
+		st := st0
+		for _, cert := range k.plane[l*slots : (l+1)*slots] {
+			st.meterShards(cert.Len(), p.rounds)
+		}
+		k.stats[l] = st
+	}
+
+	accept := core.LaneMask(width)
+	maxDeg := len(k.recv) / width
+	for v := 0; v < n; v++ {
+		base, deg := k.csr.RowStart[v], k.csr.Degree(v)
+		for l := range windows {
+			w := k.recv[l*maxDeg : l*maxDeg+deg]
+			lanePlane := k.plane[l*slots : (l+1)*slots]
+			for i := range w {
+				w[i] = lanePlane[k.csr.RevEdge[base+i]]
+			}
+			windows[l] = w
+		}
+		mask := p.nodes[v].Decide(windows)
+		accept &= mask
+		if needVotes {
+			k.votes[v] = mask&1 != 0
+		}
+	}
+	if n == 0 {
+		accept = 0 // an empty configuration accepts nowhere (AllTrue is false)
+	}
+	k.accept = accept
+}
+
+// Sequential is the lane loop one lane wide: every trial is its own
+// traversal. It backs Monte-Carlo estimation, monitors, and benchmarks.
+type Sequential struct{ kernel }
 
 // NewSequential returns a sequential executor with empty scratch.
 func NewSequential() *Sequential { return &Sequential{} }
@@ -212,42 +364,4 @@ func (e *Sequential) Name() string { return "sequential" }
 // Clone implements Executor: a fresh sequential executor with empty scratch.
 func (e *Sequential) Clone() Executor { return NewSequential() }
 
-// Round implements Executor for every t >= 1, the classic round of §2.1
-// being t = 1. Every node derives its strings once — its label on every
-// port for a deterministic scheme, otherwise certificates from the coin
-// stream prng.New(seed).Fork(v) — and sendStats meters them at the
-// sender, each string as the t shards of core.Shard's layout. Each
-// receiver's window is then gathered straight from the senders' port
-// slots — for t > 1 the whole string is bit for bit the round-order
-// concatenation of its shards — and the node decides. Node v's view is
-// always core.ViewOf(c, v), passed beside labels[v]: the estimator's
-// prepared schemes index their per-node state by view.Node (see
-// preparedScheme). The deterministic round is the zero-alloc hot path:
-// the plsvet hotalloc analyzer rejects allocating constructs in every
-// //pls:hotpath function at the AST level, TestSequentialRoundAllocs
-// asserts the warm round allocates nothing, and the benchgate allocation
-// band locks the measured steady state in CI.
-//
-//pls:hotpath
-func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
-	n := c.G.N()
-	e.sc.ensure(c.G)
-	t := Rounds(s)
-	st := Stats{Rounds: t, MaxLabelBits: core.MaxBits(labels)}
-	det, mult := s.Deterministic(), Multiplicity(s)
-	var root *prng.Rand
-	if !det {
-		root = prng.New(seed)
-	}
-	for v := 0; v < n; v++ {
-		if !det {
-			e.sc.certs[v] = s.Certs(core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
-		}
-		sendStats(det, mult, t, c, labels, e.sc.certs[v], v, &st)
-	}
-	for v := 0; v < n; v++ {
-		recv := e.sc.gather(det, c, labels, v)
-		e.sc.votes[v] = s.Decide(core.ViewOf(c, v), labels[v], recv)
-	}
-	return e.sc.votes, st
-}
+func (e *Sequential) lanes() (*kernel, int) { return &e.kernel, 1 }

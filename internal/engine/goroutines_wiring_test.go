@@ -92,25 +92,6 @@ func (echoRPLS) Decide(view core.View, _ core.Label, received []core.Cert) bool 
 	return true
 }
 
-// CertsLanes and DecideLanes make echoRPLS lane-aware, so Batched runs it
-// through its certificate plane and RevEdge gather rather than falling
-// back to the kernel.
-func (e echoRPLS) CertsLanes(view core.View, own core.Label, rngs []*prng.Rand, out [][]core.Cert) {
-	for l := range out {
-		copy(out[l], e.Certs(view, own, rngs[l]))
-	}
-}
-
-func (e echoRPLS) DecideLanes(view core.View, own core.Label, recv [][]core.Cert) uint64 {
-	var mask uint64
-	for l, r := range recv {
-		if e.Decide(view, own, r) {
-			mask |= 1 << uint(l)
-		}
-	}
-	return mask
-}
-
 // wiredConfig plants each node's neighbor IDs into its Weights by port, so
 // the echo schemes can verify exact port-level delivery.
 func wiredConfig(g *graph.Graph, rng *prng.Rand) *graph.Config {

@@ -19,7 +19,7 @@ func TestMeterShardsMatchesShardByShard(t *testing.T) {
 				got, want := start, start
 				got.meterShards(L, rounds)
 				for r := 0; r < rounds; r++ {
-					want.meter(core.Shard(base, r, rounds).Len(), 1)
+					want.meter(core.Shard(base, r, rounds).Len())
 				}
 				if got != want {
 					t.Fatalf("L=%d t=%d from %+v: meterShards %+v, shard by shard %+v", L, rounds, start, got, want)

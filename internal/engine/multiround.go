@@ -7,16 +7,17 @@ import "fmt"
 // core.Shard's fixed layout. The contract is "once per trial": in trial
 // seed, node v derives its strings once, from prng.New(seed).Fork(v),
 // exactly as the base scheme would in one round. The round kernel
-// (Sequential.Round) meters each L-bit string as the t shards of that
+// (kernel.run) meters each L-bit string as the t shards of that
 // layout — t messages, L wire bits, and a widest shard of
 // core.ShardWidth(L, t) bits (see Stats.meterShards) — and hands Decide
 // the whole string, which is bit for bit the round-order concatenation
-// the receiver would have reassembled. Batched has no t-round lanes and
-// runs sharded schemes on its embedded kernel. The test-only goroutine
-// oracle ships the real shards over its per-edge channels round by round
-// and reassembles them, so it checks the kernel's metering rule
-// independently; the golden-bits test at t ∈ {1, 2, 4} enforces that
-// both executors agree with it.
+// the receiver would have reassembled. Sharding changes only the
+// metering, so the lane loop runs a sharded scheme from its base
+// scheme's prepared nodes, on both executors and at any lane width. The
+// test-only goroutine oracle ships the real shards over its per-edge
+// channels round by round and reassembles them, so it checks the kernel's
+// metering rule independently; the golden-bits test at t ∈ {1, 2, 4}
+// enforces that both executors agree with it.
 
 // sharded runs its base scheme over rounds > 1 rounds. Labels, coins,
 // strings, decisions and one-sidedness are the base scheme's; only the

@@ -19,19 +19,18 @@ var (
 	obsPrepareNanos   = obs.NewHistogram("engine.estimate.prepare", "ns")
 
 	// Per-trial timing (one observation per Monte-Carlo trial): the
-	// kernel's trials, Batched's fallback included, land in sequential and
-	// any other executor's in other; Batched's lanes time whole batches
-	// instead, see obsBatchNanos.
+	// one-lane batches of Sequential land in sequential, and the trials of
+	// an executor from outside the engine (the tests' goroutine oracle) in
+	// other; Batched's lanes time whole batches instead, see obsBatchNanos.
 	obsTrialSequential = obs.NewHistogram("engine.trial.sequential", "ns")
 	obsTrialOther      = obs.NewHistogram("engine.trial.other", "ns")
 
-	// Batched-executor shape: lane occupancy, plane-budget narrowing,
-	// fallback and coin-free collapses. plsrun surfaces these so an
-	// executor choice is explainable.
+	// Batched-executor shape: lane occupancy and plane-budget narrowing.
+	// The coin-free collapse is counted for both executors. plsrun
+	// surfaces these so an executor choice is explainable.
 	obsBatches       = obs.NewCounter("engine.batched.batches")
 	obsBatchLanes    = obs.NewHistogram("engine.batched.lanes", "lanes")
 	obsBatchNarrowed = obs.NewCounter("engine.batched.narrowed")
-	obsBatchFallback = obs.NewCounter("engine.batched.fallback")
 	obsBatchCoinFree = obs.NewCounter("engine.batched.coinfree")
 	obsBatchNanos    = obs.NewHistogram("engine.batched.batch", "ns")
 
@@ -39,14 +38,3 @@ var (
 	obsSoundnessRuns        = obs.NewCounter("engine.soundness.runs")
 	obsSoundnessAssignments = obs.NewCounter("engine.soundness.assignments")
 )
-
-// trialHistogram picks the per-trial timing histogram for an executor.
-// Called from the estimator's hot loop, so it must stay allocation-free.
-//
-//pls:hotpath
-func trialHistogram(exec Executor) *obs.Histogram {
-	if _, ok := exec.(*Sequential); ok {
-		return obsTrialSequential
-	}
-	return obsTrialOther
-}

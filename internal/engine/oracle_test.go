@@ -16,7 +16,7 @@ import (
 // read anything but its own state, its own label, and what arrived on its
 // ports. It shares nothing with the engine's round kernel beyond the Scheme
 // interface — its own channel fabric, receive buffers, and metering (it
-// deliberately does not call the engine's sendStats or distinct-message
+// deliberately does not call the engine's meterShards or distinct-message
 // count) — so the parity, wiring, and golden-bits tests that compare the
 // kernel and Batched against it compare two independent implementations.
 type goroutineOracle struct{}

@@ -135,8 +135,9 @@ func (r rpls) Decide(view core.View, _ core.Label, received []core.Cert) bool {
 		return false
 	}
 	for _, cert := range received {
-		fp, err := field.DecodeFingerprint(bitstring.NewReader(cert), r.p)
-		if err != nil {
+		rd := bitstring.NewReader(cert)
+		fp, err := field.DecodeFingerprint(rd, r.p)
+		if err != nil || rd.Remaining() != 0 {
 			return false
 		}
 		// A matching fingerprint means the neighbor's color is (almost

@@ -3,6 +3,7 @@ package coloring_test
 import (
 	"testing"
 
+	"rpls/internal/bitstring"
 	"rpls/internal/core"
 	"rpls/internal/engine"
 	"rpls/internal/graph"
@@ -160,4 +161,33 @@ func TestCertificateSizeLogarithmicInM(t *testing.T) {
 		}
 		prev = bits
 	}
+}
+
+// TestRandomizedRejectsTrailingBits: a certificate is exactly one
+// fingerprint, so an honest certificate with junk bits appended must be
+// rejected, as the fingerprint schemes reject any bits after theirs.
+func TestRandomizedRejectsTrailingBits(t *testing.T) {
+	c := graph.NewConfig(graph.Path(2))
+	greedyColor(c)
+	s := coloring.NewRPLS(c.G.M())
+	labels, err := s.Label(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, receiver := core.ViewOf(c, 0), core.ViewOf(c, 1)
+	for seed := uint64(0); seed < 16; seed++ {
+		cert := s.Certs(sender, labels[0], prng.New(seed))[0]
+		if !s.Decide(receiver, labels[1], []core.Cert{cert}) {
+			continue // a fingerprint collision of the two colors
+		}
+		if cert.Len() != 18 {
+			t.Fatalf("honest certificate has %d bits, want 18", cert.Len())
+		}
+		junk := bitstring.Concat(cert, bitstring.FromBits([]byte{1, 0, 1, 1, 0, 0, 1, 0, 1}))
+		if s.Decide(receiver, labels[1], []core.Cert{junk}) {
+			t.Fatalf("seed %d: certificate with 9 trailing bits accepted", seed)
+		}
+		return
+	}
+	t.Fatal("no seed gave an accepted honest certificate")
 }

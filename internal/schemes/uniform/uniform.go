@@ -128,69 +128,26 @@ func (r randRPLS) Certs(view core.View, _ core.Label, rng *prng.Rand) []core.Cer
 	p := r.prime(data.Len())
 	certs := make([]core.Cert, view.Deg)
 	for i := range certs {
-		fp := field.NewFingerprint(data, p, rng.Fork(uint64(i)))
-		var w bitstring.Writer
-		w.WriteGamma(uint64(data.Len()))
-		fp.Encode(&w)
-		certs[i] = w.String()
+		certs[i] = core.FingerprintCert(data, p, rng.Fork(uint64(i)))
 	}
 	return certs
 }
 
-var _ core.LaneRPLS = randRPLS{}
-
-// CertsLanes implements core.LaneRPLS: the payload's polynomial is shared
-// by every lane and port, so all lanes × deg points go through one
-// EvalCache call — a table lookup once the batch is wide enough.
-func (r randRPLS) CertsLanes(view core.View, _ core.Label, rngs []*prng.Rand, out [][]core.Cert) {
+func (r randRPLS) Decide(view core.View, _ core.Label, received []core.Cert) bool {
 	data := bitstring.FromBytes(view.State.Data)
-	core.FingerprintLanes(data, r.prime(data.Len()), rngs, view.Deg, r.cache, out)
+	return len(received) == view.Deg && matchAll(received, data, r.prime(data.Len()))
 }
 
-// DecideLanes implements core.LaneRPLS. Certificates are parsed per lane
-// (lanes fail independently), then all surviving fingerprints — every lane,
-// every port, one shared payload polynomial — are checked in a single
-// batched evaluation.
-func (r randRPLS) DecideLanes(view core.View, _ core.Label, recv [][]core.Cert) uint64 {
-	data := bitstring.FromBytes(view.State.Data)
-	p := r.prime(data.Len())
-	lanes := len(recv)
-	live := core.LaneMask(lanes)
-	slots := lanes * view.Deg
-	buf := make([]uint64, 3*slots)
-	xs := buf[:0:slots]
-	ys := buf[slots : slots : 2*slots]
-	owner := make([]int, 0, slots)
-	for l := 0; l < lanes; l++ {
-		if len(recv[l]) != view.Deg {
-			live &^= 1 << uint(l)
-			continue
-		}
-		for _, cert := range recv[l] {
-			rd := bitstring.NewReader(cert)
-			n, err := rd.ReadGamma()
-			if err != nil || int(n) != data.Len() {
-				live &^= 1 << uint(l)
-				break
-			}
-			fp, err := field.DecodeFingerprint(rd, p)
-			if err != nil || rd.Remaining() != 0 {
-				live &^= 1 << uint(l)
-				break
-			}
-			xs = append(xs, fp.X)
-			ys = append(ys, fp.Y)
-			owner = append(owner, l)
+// matchAll reports whether every certificate is a well-formed fingerprint
+// of data's length over GF(p) that data's polynomial passes through.
+func matchAll(certs []core.Cert, data bitstring.String, p uint64) bool {
+	for _, cert := range certs {
+		fp, ok := core.ReadFingerprintCert(cert, data.Len(), p)
+		if !ok || !fp.Matches(data) {
+			return false
 		}
 	}
-	got := buf[2*slots : 2*slots+len(xs)]
-	r.cache.EvalMany(data, p, xs, got)
-	for k, l := range owner {
-		if got[k] != ys[k] {
-			live &^= 1 << uint(l)
-		}
-	}
-	return live
+	return true
 }
 
 var _ core.CappedRPLS = randRPLS{}
@@ -220,45 +177,69 @@ func (r randRPLS) CapDecide(_ int, view core.View, _ core.Label, received []core
 	}
 	for _, msg := range received {
 		members, err := core.CapSplit(msg)
-		if err != nil || len(members) == 0 {
+		if err != nil || len(members) == 0 || !matchAll(members, data, r.prime(data.Len())) {
 			return false // the reverse edge's fingerprint must be present
-		}
-		for _, cert := range members {
-			rd := bitstring.NewReader(cert)
-			n, err := rd.ReadGamma()
-			if err != nil || int(n) != data.Len() {
-				return false
-			}
-			fp, err := field.DecodeFingerprint(rd, r.prime(int(n)))
-			if err != nil || rd.Remaining() != 0 {
-				return false
-			}
-			if !fp.Matches(data) {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-func (r randRPLS) Decide(view core.View, _ core.Label, received []core.Cert) bool {
+var _ core.Preparer = randRPLS{}
+
+// Prepare implements core.Preparer: the payload string and its field are
+// prepared once per node.
+func (r randRPLS) Prepare(view core.View, _ core.Label) core.Prepared {
 	data := bitstring.FromBytes(view.State.Data)
-	if len(received) != view.Deg {
-		return false
+	return &node{deg: view.Deg, data: data, p: r.prime(data.Len()), cache: r.cache}
+}
+
+// node is a prepared node of the direct scheme. The payload polynomial is
+// shared by every lane and port, so each call hands all lanes × ports
+// points to one EvalCache call — a table lookup once the batch is wide
+// enough.
+type node struct {
+	deg   int
+	data  bitstring.String
+	p     uint64
+	cache *field.EvalCache
+}
+
+func (n *node) Certs(rngs []*prng.Rand, out [][]core.Cert) {
+	core.FingerprintLanes(n.data, n.p, rngs, n.deg, n.cache, out)
+}
+
+// Decide parses certificates per lane (lanes fail independently), then
+// checks every surviving fingerprint in a single batched evaluation.
+func (n *node) Decide(recv [][]core.Cert) uint64 {
+	lanes := len(recv)
+	live := core.LaneMask(lanes)
+	slots := lanes * n.deg
+	buf := make([]uint64, 3*slots)
+	xs := buf[:0:slots]
+	ys := buf[slots : slots : 2*slots]
+	owner := make([]int, 0, slots)
+	for l, r := range recv {
+		if len(r) != n.deg {
+			live &^= 1 << uint(l)
+			continue
+		}
+		for _, cert := range r {
+			fp, ok := core.ReadFingerprintCert(cert, n.data.Len(), n.p)
+			if !ok {
+				live &^= 1 << uint(l)
+				break
+			}
+			xs = append(xs, fp.X)
+			ys = append(ys, fp.Y)
+			owner = append(owner, l)
+		}
 	}
-	for _, cert := range received {
-		rd := bitstring.NewReader(cert)
-		n, err := rd.ReadGamma()
-		if err != nil || int(n) != data.Len() {
-			return false
-		}
-		fp, err := field.DecodeFingerprint(rd, r.prime(int(n)))
-		if err != nil || rd.Remaining() != 0 {
-			return false
-		}
-		if !fp.Matches(data) {
-			return false
+	got := buf[2*slots : 2*slots+len(xs)]
+	n.cache.EvalMany(n.data, n.p, xs, got)
+	for k, l := range owner {
+		if got[k] != ys[k] {
+			live &^= 1 << uint(l)
 		}
 	}
-	return true
+	return live
 }
