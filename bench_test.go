@@ -122,6 +122,42 @@ func BenchmarkPolyEval(b *testing.B) {
 	}
 }
 
+// BenchmarkFingerprintCert is the certificate-codec tier under benchgate:
+// one op encodes a fixed batch of 2¹⁸ fingerprint certificates of an n-bit
+// string over GF(PrimeForLength(n)) with the prepared nodes' word encoder
+// (core.FingerprintLayout), into one slab, then decodes and checks them
+// all. n = 256 is uniform-batched's 37-bit layout, n = 1293 the compiled
+// MST sub-label of mst-estimate (45 bits), and n = 2²⁰ an 85-bit layout
+// across both words. ns/cert is one encode plus one decode.
+func BenchmarkFingerprintCert(b *testing.B) {
+	const certs = 1 << 18
+	rng := prng.New(18)
+	out := make([]core.Cert, certs)
+	for _, n := range []int{256, 1293, 1 << 20} {
+		p := field.PrimeForLength(n)
+		lay := core.NewFingerprintLayout(n, p)
+		size := (lay.Bits() + 7) / 8
+		xs, ys := make([]uint64, certs), make([]uint64, certs)
+		for k := range xs {
+			xs[k], ys[k] = rng.Uint64n(p), rng.Uint64n(p)
+		}
+		slab := make([]byte, certs*size)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for k := range out {
+					out[k] = lay.Encode(xs[k], ys[k], slab[k*size:(k+1)*size])
+				}
+				for k, cert := range out {
+					if x, y, ok := lay.Decode(cert); !ok || x != xs[k] || y != ys[k] {
+						b.Fatalf("certificate %d does not decode to its (x, y)", k)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*certs), "ns/cert")
+		})
+	}
+}
+
 // BenchmarkVerificationRound measures a full distributed verification round
 // on the engine's default round kernel (Sequential) for the two MST schemes
 // — the paper's headline predicate — across network sizes.

@@ -9,6 +9,7 @@
 package bitstring
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -54,6 +55,41 @@ func (s String) Bytes() []byte {
 // zero. It exists for batched polynomial evaluation, where per-bit Bit
 // calls dominate the Horner loop; ordinary decoding should use a Reader.
 func (s String) ByteAt(i int) byte { return s.data[i] }
+
+// Words returns the first min(Len, 128) bits of s left-aligned in two
+// words: bit i is bit 63−i of hi for i < 64 and bit 127−i of lo for
+// 64 ≤ i < 128. Bits past Len are zero. It is one load of at most 16
+// bytes, for fixed-layout codecs that parse a whole short string with
+// shifts instead of a Reader.
+func (s String) Words() (hi, lo uint64) {
+	var b [16]byte
+	copy(b[:], s.data[:min(len(s.data), 16)])
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+}
+
+// FromWords returns the n-bit String (0 ≤ n ≤ 128) whose bits are the
+// first n of the left-aligned pair (hi, lo), laid out as Words reads
+// them, and stored in buf[:(n+7)/8]: the result aliases buf, so a caller
+// that carves disjoint regions out of one slab builds many Strings with
+// one allocation. Bits of the pair past n are cleared. It panics if n is
+// out of range or buf is too short, both programming errors.
+func FromWords(hi, lo uint64, n int, buf []byte) String {
+	if n < 0 || n > 128 {
+		panic(fmt.Sprintf("bitstring: %d bits do not fit in two words", n))
+	}
+	if n < 64 {
+		hi &^= ^uint64(0) >> uint(n)
+		lo = 0
+	} else {
+		lo &^= ^uint64(0) >> uint(n-64)
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], hi)
+	binary.BigEndian.PutUint64(b[8:], lo)
+	d := buf[:(n+7)/8]
+	copy(d, b[:])
+	return String{data: d, n: n}
+}
 
 // Bit returns the i-th bit (0-indexed). It panics if i is out of range;
 // callers index only within Len, which is an invariant of decoding.

@@ -2,6 +2,7 @@ package bitstring
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -322,4 +323,48 @@ func TestWriteUintPanicsOnOverflow(t *testing.T) {
 	}()
 	var w Writer
 	w.WriteUint(4, 2)
+}
+
+// TestWordsRoundTrip checks Words and FromWords against the Writer at
+// every length up to 130 bits: Words returns the first min(Len, 128) bits
+// left-aligned with zeros past them, and FromWords stores exactly the
+// Writer's bytes, padding included, clearing pair bits past its length.
+func TestWordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= 130; n++ {
+		bits := make([]byte, n)
+		for i := range bits {
+			bits[i] = byte(rng.Intn(2))
+		}
+		s := FromBits(bits)
+		hi, lo := s.Words()
+		for i := 0; i < 128; i++ {
+			var got byte
+			if i < 64 {
+				got = byte(hi>>(63-uint(i))) & 1
+			} else {
+				got = byte(lo>>(127-uint(i))) & 1
+			}
+			var want byte
+			if i < n {
+				want = bits[i]
+			}
+			if got != want {
+				t.Fatalf("n=%d: Words bit %d = %d, want %d", n, i, got, want)
+			}
+		}
+		if n > 128 {
+			continue
+		}
+		junkHi, junkLo := ^uint64(0), ^uint64(0) // every pair bit past n
+		if n < 64 {
+			junkHi >>= uint(n)
+		} else {
+			junkHi, junkLo = 0, junkLo>>uint(n-64)
+		}
+		back := FromWords(hi|junkHi, lo|junkLo, n, make([]byte, 16))
+		if !back.Equal(s) || !bytes.Equal(back.Bytes(), s.Bytes()) {
+			t.Fatalf("n=%d: FromWords = %v (% x), want %v (% x)", n, back, back.Bytes(), s, s.Bytes())
+		}
+	}
 }

@@ -40,6 +40,12 @@ func GammaBits(v uint64) int {
 // ReadGamma consumes an Elias-gamma code. The zero prefix is scanned one
 // storage byte at a time and the suffix read as one chunked ReadUint —
 // the per-bit loop it replaces showed up at the top of estimator profiles.
+//
+// Only canonical codes decode: a prefix of 64 or more zeros is rejected,
+// since no uint64 has a longer code (gamma(2⁶⁴−2) has 63 zeros). Without
+// that bound, 64 zeros, a 1 and a 64-bit suffix r would wrap to r − 1, a
+// second, longer code for a value, and a decoded value would no longer
+// fix the number of bits consumed.
 func (r *Reader) ReadGamma() (uint64, error) {
 	pos, end := r.pos, r.s.n
 	zeros := 0
@@ -64,11 +70,11 @@ func (r *Reader) ReadGamma() (uint64, error) {
 			pos += lz + 1
 			break
 		}
-		if zeros > 64 {
+		if zeros >= 64 {
 			return 0, fmt.Errorf("gamma prefix too long (%d zeros)", zeros)
 		}
 	}
-	if zeros > 64 {
+	if zeros >= 64 {
 		return 0, fmt.Errorf("gamma prefix too long (%d zeros)", zeros)
 	}
 	r.pos = pos
@@ -79,9 +85,7 @@ func (r *Reader) ReadGamma() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("gamma suffix: %w", err)
 	}
-	// The leading 1 already consumed is the top bit of x. zeros == 64 can
-	// only come from adversarial input; the shift then wraps exactly like
-	// the bit-loop this replaces, preserving decode decisions.
+	// The leading 1 already consumed is the top bit of x.
 	x := uint64(1)<<uint(zeros) | rest
 	return x - 1, nil
 }

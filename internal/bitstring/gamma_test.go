@@ -104,3 +104,54 @@ func TestWriteGammaPanicsOnMaxUint(t *testing.T) {
 	var w Writer
 	w.WriteGamma(^uint64(0))
 }
+
+// nonCanonicalOne is a 129-bit code for 1: 64 zeros, a 1 and the 64-bit
+// value 2. Before ReadGamma bounded its prefix by 63 zeros, the top bit
+// wrapped away and this decoded as 1, whose canonical code is 3 bits.
+func nonCanonicalOne() String {
+	var w Writer
+	w.WriteUint(0, 64)
+	w.WriteBit(1)
+	w.WriteUint(2, 64)
+	return w.String()
+}
+
+func TestReadGammaRejectsNonCanonical(t *testing.T) {
+	if v, err := NewReader(nonCanonicalOne()).ReadGamma(); err == nil {
+		t.Fatalf("129-bit non-canonical code decoded as %d", v)
+	}
+	// The longest canonical code, gamma(2⁶⁴−2) with 63 zeros, still decodes.
+	var w Writer
+	w.WriteGamma(^uint64(0) - 1)
+	r := NewReader(w.String())
+	if v, err := r.ReadGamma(); err != nil || v != ^uint64(0)-1 || r.Remaining() != 0 {
+		t.Fatalf("gamma(2^64-2): got %d, err %v, %d bits left", v, err, r.Remaining())
+	}
+}
+
+// FuzzGamma feeds ReadGamma arbitrary bits. The oracle: no panic, and an
+// accepted value re-encodes through WriteGamma to exactly the bits it
+// consumed, so every value has one code.
+func FuzzGamma(f *testing.F) {
+	var w Writer
+	w.WriteGamma(1000)
+	for _, s := range []String{nonCanonicalOne(), w.String(), FromBits(make([]byte, 70)), {}} {
+		f.Add(s.Bytes(), s.Len())
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bits int) {
+		if bits < 0 || bits > 8*len(data) {
+			bits = 8 * len(data)
+		}
+		s := FromBytes(data).Truncate(bits)
+		r := NewReader(s)
+		v, err := r.ReadGamma()
+		if err != nil {
+			return
+		}
+		var w Writer
+		w.WriteGamma(v)
+		if consumed := s.Truncate(s.Len() - r.Remaining()); !w.String().Equal(consumed) {
+			t.Fatalf("decoded %d from %d bits; its code is %d bits %v", v, consumed.Len(), w.Len(), w.String())
+		}
+	})
+}

@@ -161,29 +161,40 @@ func checkFingerprint(cert Cert, replica Label) bool {
 }
 
 // compiledNode is one node's prepared compiled label: the self sub-label
-// and its field, one replica per port, the split error of a malformed
-// label, and the inner verifier's vote on the replicas.
+// and the layout of its certificates, one replica per port with the
+// layout of the certificates that must match it, the split error of a
+// malformed label, and the inner verifier's vote on the replicas.
 type compiledNode struct {
 	deg      int
 	self     Label
-	p        uint64 // field of the self sub-label's fingerprints
+	layout   FingerprintLayout
 	replicas []Label
+	layouts  []FingerprintLayout // set only when the vote accepts
 	err      error
 	vote     bool
 }
 
 var _ Preparer = (*compiled)(nil)
 
-// Prepare implements Preparer: the label is split, the field chosen, and
-// the inner verifier run once. The inner vote may be hoisted out of the
-// trials because it sees only the self sub-label and the replicas, never
-// a coin. Every received fingerprint is still checked per trial.
+// Prepare implements Preparer: the label is split, the certificate
+// layouts fixed, and the inner verifier run once. The inner vote may be
+// hoisted out of the trials because it sees only the self sub-label and
+// the replicas, never a coin. Every received fingerprint is still checked
+// per trial. readSub bounds every sub-label by 2³⁰ bits, so each layout
+// meets NewFingerprintLayout's precondition.
 func (c *compiled) Prepare(view View, own Label) Prepared {
 	self, replicas, err := c.splitLabel(own, view.Deg)
 	n := &compiledNode{deg: view.Deg, self: self, replicas: replicas, err: err}
-	if err == nil {
-		n.p = field.PrimeForLength(self.Len())
-		n.vote = c.inner.Verify(view, self, replicas)
+	if err != nil {
+		return n
+	}
+	n.layout = NewFingerprintLayout(self.Len(), field.PrimeForLength(self.Len()))
+	n.vote = c.inner.Verify(view, self, replicas)
+	if n.vote {
+		n.layouts = make([]FingerprintLayout, len(replicas))
+		for i, rep := range replicas {
+			n.layouts[i] = NewFingerprintLayout(rep.Len(), field.PrimeForLength(rep.Len()))
+		}
 	}
 	return n
 }
@@ -199,14 +210,14 @@ func (n *compiledNode) Certs(rngs []*prng.Rand, out [][]Cert) {
 		}
 		return
 	}
-	FingerprintLanes(n.self, n.p, rngs, n.deg, nil, out)
+	FingerprintLanes(n.self, n.layout, rngs, n.deg, nil, out)
 }
 
 // Decide implements Prepared. Per port, each lane's certificate is parsed
-// on its own (lanes fail independently under adversarial input), and the
-// replica's polynomial is evaluated at all surviving lanes' points in one
-// EvalMany call. A malformed label or a rejecting inner vote rejects in
-// every lane.
+// on its own by the replica's layout (lanes fail independently under
+// adversarial input), and the replica's polynomial is evaluated at all
+// surviving lanes' points in one EvalMany call. A malformed label or a
+// rejecting inner vote rejects in every lane.
 func (n *compiledNode) Decide(recv [][]Cert) uint64 {
 	if n.err != nil || !n.vote {
 		return 0
@@ -224,20 +235,20 @@ func (n *compiledNode) Decide(recv [][]Cert) uint64 {
 		if live == 0 {
 			break
 		}
-		p := field.PrimeForLength(rep.Len())
+		lay := n.layouts[i]
 		for l := range recv {
 			xs[l], ys[l] = 0, 0
 			if live&(1<<uint(l)) == 0 {
 				continue
 			}
-			fp, ok := ReadFingerprintCert(recv[l][i], rep.Len(), p)
+			x, y, ok := lay.Decode(recv[l][i])
 			if !ok {
 				live &^= 1 << uint(l)
 				continue
 			}
-			xs[l], ys[l] = fp.X, fp.Y
+			xs[l], ys[l] = x, y
 		}
-		field.NewPoly(rep, p).EvalMany(xs, got)
+		field.NewPoly(rep, lay.P()).EvalMany(xs, got)
 		for l := range recv {
 			if got[l] != ys[l] {
 				live &^= 1 << uint(l)

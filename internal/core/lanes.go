@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"rpls/internal/bitstring"
 	"rpls/internal/field"
 	"rpls/internal/prng"
@@ -119,6 +121,12 @@ func LaneMask(lanes int) uint64 {
 // the gamma-coded length of s, then (x, A(x)) for a point x drawn from
 // rng (Lemma A.1). The length makes a string distinguishable from itself
 // with trailing zero bits, which induces the same polynomial.
+//
+// FingerprintCert and ReadFingerprintCert are the label path's codec: they
+// frame and parse the certificate field by field through bitstring's
+// Writer and Reader, the paper's model of the wire, and they are the
+// reference the prepared nodes' word codec (FingerprintLayout) is tested
+// against.
 func FingerprintCert(s bitstring.String, p uint64, rng *prng.Rand) Cert {
 	var w bitstring.Writer
 	w.WriteGamma(uint64(s.Len()))
@@ -128,7 +136,9 @@ func FingerprintCert(s bitstring.String, p uint64, rng *prng.Rand) Cert {
 
 // ReadFingerprintCert parses a FingerprintCert that must fingerprint a
 // string of the given length over GF(p). It fails on a malformed or
-// different length, a value outside the field, and trailing bits.
+// different length, a value outside the field, and trailing bits. Since
+// gamma codes decode only in canonical form, it accepts exactly the
+// certificates FingerprintLayout.Decode accepts, with the same (x, y).
 func ReadFingerprintCert(cert Cert, bits int, p uint64) (field.Fingerprint, bool) {
 	r := bitstring.NewReader(cert)
 	n, err := r.ReadGamma()
@@ -139,39 +149,118 @@ func ReadFingerprintCert(cert Cert, bits int, p uint64) (field.Fingerprint, bool
 	return fp, err == nil && r.Remaining() == 0
 }
 
+// FingerprintLayout is the fixed wire layout of every fingerprint
+// certificate of one string of a given length n over GF(p): gamma(n),
+// then x and y in w = UintBits(p−1) bits each, L = GammaBits(n) + 2w bits
+// in all — the layout FingerprintCert writes. The gamma code of n is
+// GammaBits(n) bits whose value is n+1, so the whole certificate is the
+// number (n+1)‖x‖y. A prepared node fixes the layouts it will write and
+// read at Prepare and moves each certificate as two 64-bit words: its
+// encoder and decoder are a handful of shifts, where the Writer and Reader
+// walk the fields in chunks of at most 8 bits.
+type FingerprintLayout struct {
+	p      uint64
+	prefix uint64 // the gamma code of n, read as a number: n+1
+	g, w   uint   // widths of the gamma code and of each field element
+	bits   uint   // L
+}
+
+// NewFingerprintLayout returns the layout of the fingerprint certificates
+// of n-bit strings over GF(p). Its precondition is n ≤ 2³⁰ (the bound
+// readSub and CapSplit put on the lengths they decode) and L ≤ 128, so
+// that a certificate fits in two words; every p = PrimeForLength(n) meets
+// it (L ≤ 125). It panics when the precondition fails: a layout is fixed
+// by the scheme and by lengths its decoders have already bounded, so a
+// misfit is a programming error.
+func NewFingerprintLayout(n int, p uint64) FingerprintLayout {
+	if n < 0 || n > 1<<30 {
+		panic(fmt.Sprintf("core: fingerprint layout of a %d-bit string", n))
+	}
+	g, w := uint(bitstring.GammaBits(uint64(n))), uint(bitstring.UintBits(p-1))
+	if g+2*w > 128 {
+		panic(fmt.Sprintf("core: %d-bit fingerprint certificate (n=%d, p=%d) does not fit in two words", g+2*w, n, p))
+	}
+	return FingerprintLayout{p: p, prefix: uint64(n) + 1, g: g, w: w, bits: g + 2*w}
+}
+
+// Bits returns L, the length of every certificate in the layout.
+func (f FingerprintLayout) Bits() int { return int(f.bits) }
+
+// P returns the field modulus p.
+func (f FingerprintLayout) P() uint64 { return f.p }
+
+// Encode returns the certificate gamma(n) ‖ x ‖ y, stored in buf, which
+// must hold (L+7)/8 bytes; the result aliases buf. x and y must be < p.
+// The certificate is bit for bit the one FingerprintCert frames for the
+// point x and the value y, padding included.
+func (f FingerprintLayout) Encode(x, y uint64, buf []byte) Cert {
+	hi, lo := place(f.prefix<<(64-f.g), 0, x, f.g+f.w)
+	hi, lo = place(hi, lo, y, f.bits)
+	return bitstring.FromWords(hi, lo, int(f.bits), buf)
+}
+
+// Decode parses a certificate in the layout: the length must be L, the
+// leading G bits the gamma code of n, and x and y below p. Because gamma
+// codes are canonical, this accepts exactly what ReadFingerprintCert(cert,
+// n, p) accepts and returns the same (x, y).
+func (f FingerprintLayout) Decode(cert Cert) (x, y uint64, ok bool) {
+	if cert.Len() != int(f.bits) {
+		return 0, 0, false
+	}
+	hi, lo := cert.Words()
+	x, y = take(hi, lo, f.g, f.w), take(hi, lo, f.g+f.w, f.w)
+	return x, y, hi>>(64-f.g) == f.prefix && x < f.p && y < f.p
+}
+
+// place ORs v into the left-aligned word pair (hi, lo) so that its lowest
+// bit lands at bit end−1; v must fit in the end bits before it.
+func place(hi, lo, v uint64, end uint) (uint64, uint64) {
+	if end <= 64 {
+		return hi | v<<(64-end), lo
+	}
+	s := end - 64
+	return hi | v>>s, lo | v<<(64-s)
+}
+
+// take returns the w bits of the left-aligned word pair (hi, lo) that
+// start at bit off.
+func take(hi, lo uint64, off, w uint) uint64 {
+	var v uint64
+	if off < 64 {
+		v = hi<<off | lo>>(64-off)
+	} else {
+		v = lo << (off - 64)
+	}
+	return v >> (64 - w)
+}
+
 // FingerprintLanes writes FingerprintCert(s, p, rngs[l].Fork(i)) for every
-// (lane, port) pair, evaluating the polynomial at all points in one
-// EvalMany call (through cache when the scheme provides one; nil evaluates
-// directly). It is the certificate writer of the prepared compiled and
-// uniform nodes.
+// (lane, port) pair, where p = lay.P() and lay is s's layout. It evaluates
+// the polynomial at all points in one EvalMany call (through cache when
+// the scheme provides one; nil evaluates directly) and encodes each
+// certificate with lay's word encoder. It is the certificate writer of the
+// prepared compiled and uniform nodes.
 //
-// All certificates of a call have the same bit length, so they are framed
-// into one shared slab: two allocations per call — evaluation points and
-// slab — instead of two per certificate.
-func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, cache *field.EvalCache, out [][]Cert) {
+// All certificates of a call have the same L bits, so they are stored in
+// one shared slab: two allocations per call — evaluation points and slab —
+// instead of two per certificate.
+func FingerprintLanes(s bitstring.String, lay FingerprintLayout, rngs []*prng.Rand, deg int, cache *field.EvalCache, out [][]Cert) {
 	lanes := len(rngs)
 	buf := make([]uint64, 2*lanes*deg)
 	xs, ys := buf[:lanes*deg], buf[lanes*deg:]
 	for l, rng := range rngs {
 		row := xs[l*deg : (l+1)*deg]
 		for i := 0; i < deg; i++ {
-			row[i] = rng.Fork(uint64(i)).Uint64n(p)
+			row[i] = rng.Fork(uint64(i)).Uint64n(lay.p)
 		}
 	}
-	cache.EvalMany(s, p, xs, ys)
-	width := bitstring.UintBits(p - 1)
-	n := uint64(s.Len())
-	certBytes := (bitstring.GammaBits(n) + 2*width + 7) / 8
-	slab := make([]byte, lanes*deg*certBytes)
-	var w bitstring.Writer
+	cache.EvalMany(s, lay.p, xs, ys)
+	size := (lay.Bits() + 7) / 8
+	slab := make([]byte, lanes*deg*size)
 	for l := 0; l < lanes; l++ {
 		for i := 0; i < deg; i++ {
-			k := (l*deg + i) * certBytes
-			w.ResetInto(slab[k : k : k+certBytes])
-			w.WriteGamma(n)
-			w.WriteUint(xs[l*deg+i], width)
-			w.WriteUint(ys[l*deg+i], width)
-			out[l][i] = w.TakeString()
+			k := l*deg + i
+			out[l][i] = lay.Encode(xs[k], ys[k], slab[k*size:(k+1)*size])
 		}
 	}
 }

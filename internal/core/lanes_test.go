@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
 	"rpls/internal/experiments"
+	"rpls/internal/field"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
 	"rpls/internal/schemes/mst"
@@ -259,4 +261,89 @@ func TestLaneMask(t *testing.T) {
 			t.Errorf("LaneMask(%d) = %#x, want %#x", tc.lanes, got, tc.want)
 		}
 	}
+}
+
+// frameFingerprint is the label path's framing of gamma(n) ‖ x ‖ y over
+// GF(p), FingerprintCert's wire format for a chosen point and value.
+func frameFingerprint(n int, p, x, y uint64) bitstring.String {
+	var w bitstring.Writer
+	w.WriteGamma(uint64(n))
+	field.Fingerprint{X: x, Y: y, P: p}.Encode(&w)
+	return w.String()
+}
+
+// FuzzFingerprintCert checks the prepared nodes' word codec
+// (core.FingerprintLayout) against the label path's sequential one on
+// layouts the registry's small fixtures never reach, up to two full
+// words. The fuzzer picks n ≤ 2³⁰; a prime p, PrimeForLength(n) when pRaw
+// is 0 and NextPrime(pRaw mod (2³⁴+1)) otherwise; a point x and value y;
+// and raw certificate bits (all of raw when rawBits is out of range). The
+// oracle: NewFingerprintLayout refuses a layout past 128 bits; otherwise
+// the word encoder's certificate for (x mod p, y mod p) equals the
+// Writer-framed one, bytes and padding included, and on the raw bits the
+// word decoder's verdict and (x, y) equal ReadFingerprintCert's.
+func FuzzFingerprintCert(f *testing.F) {
+	add := func(n int, pRaw, x, y uint64, raw bitstring.String) {
+		f.Add(uint32(n), pRaw, x, y, raw.Bytes(), raw.Len())
+	}
+	honest := func(n int, pRaw, x, y uint64) bitstring.String {
+		p := field.PrimeForLength(n)
+		if pRaw != 0 {
+			p = field.NextPrime(pRaw)
+		}
+		return frameFingerprint(n, p, x, y)
+	}
+	one := bitstring.FromBits([]byte{1})
+	// L = G + 2w is odd (G is), so the one-word edge L = 64 is a 63-bit
+	// layout (n = 30000: G = 29, w = 17) with a trailing bit, and a 65-bit
+	// layout (n = 32767: G = 31, w = 17) cut to 64 bits.
+	l63 := honest(30000, 0, 5, 7)
+	add(30000, 0, 5, 7, bitstring.Concat(l63, one))
+	l65 := honest(32767, 0, 1<<16, 3)
+	add(32767, 0, 1<<16, 3, l65)
+	add(32767, 0, 1<<16, 3, l65.Truncate(64))
+	add(256, 1<<31, 1<<31, 12345, honest(256, 1<<31, 1<<31, 12345)) // 2w = 64
+	add(256, 1<<32, 1<<32, 1, honest(256, 1<<32, 1<<32, 1))         // 2w = 66
+	add(1<<30, 0, 3<<30, 1<<31, honest(1<<30, 0, 3<<30, 1<<31))     // n = 2³⁰, L = 125
+	add(1<<30, 1<<34, 0, 0, bitstring.String{})                     // L = 131: refused
+	u := honest(256, 0, 700, 9)                                     // uniform-batched's 37-bit layout
+	add(256, 0, 700, 9, u.Truncate(u.Len()-1))                      // truncated
+	add(256, 0, 700, 9, bitstring.Concat(u, one))                   // trailing bit
+	add(256, 0, 700, 9, honest(257, 0, 700, 9))                     // gamma lie, same G
+	p := field.PrimeForLength(256)
+	add(256, 0, 0, 0, frameFingerprint(256, p, p, 9)) // x = p
+	add(256, 0, 0, 0, frameFingerprint(256, p, 9, p)) // y = p
+	f.Fuzz(func(t *testing.T, n uint32, pRaw, x, y uint64, raw []byte, rawBits int) {
+		bits := int(n % (1<<30 + 1))
+		p := field.PrimeForLength(bits)
+		if pRaw != 0 {
+			p = field.NextPrime(pRaw % (1<<34 + 1))
+		}
+		if bitstring.GammaBits(uint64(bits))+2*bitstring.UintBits(p-1) > 128 {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewFingerprintLayout(%d, %d) accepted a layout past two words", bits, p)
+				}
+			}()
+			core.NewFingerprintLayout(bits, p)
+			return
+		}
+		lay := core.NewFingerprintLayout(bits, p)
+		x, y = x%p, y%p
+		want := frameFingerprint(bits, p, x, y)
+		got := lay.Encode(x, y, make([]byte, (lay.Bits()+7)/8))
+		if lay.Bits() != want.Len() || !got.Equal(want) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d p=%d: word encoder wrote %v (%d-bit layout), Writer %v", bits, p, got, lay.Bits(), want)
+		}
+		if rawBits < 0 || rawBits > 8*len(raw) {
+			rawBits = 8 * len(raw)
+		}
+		for _, cert := range []core.Cert{want, bitstring.FromBytes(raw).Truncate(rawBits)} {
+			gx, gy, ok := lay.Decode(cert)
+			fp, wantOK := core.ReadFingerprintCert(cert, bits, p)
+			if ok != wantOK || ok && (gx != fp.X || gy != fp.Y) {
+				t.Fatalf("n=%d p=%d cert %v: word decoder (%d, %d, %v), Reader (%d, %d, %v)", bits, p, cert, gx, gy, ok, fp.X, fp.Y, wantOK)
+			}
+		}
+	})
 }

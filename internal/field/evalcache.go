@@ -13,8 +13,8 @@ import (
 const maxTablePrime = 1 << 12
 
 // minTableBatch is the evaluation-batch size below which the cache skips
-// the table: the per-call fixed costs (keying, locking) beat a handful of
-// direct Horner walks.
+// the table: the per-call fixed costs (matching, locking) beat a handful
+// of direct Horner walks.
 const minTableBatch = 8
 
 // EvalCache memoizes the full value table of one polynomial over a small
@@ -31,7 +31,7 @@ const minTableBatch = 8
 // concurrent use by the estimator's trial workers.
 type EvalCache struct {
 	mu    sync.Mutex
-	key   string
+	s     bitstring.String // the cached polynomial's coefficients
 	p     uint64
 	table []uint64
 }
@@ -52,13 +52,14 @@ func (c *EvalCache) EvalMany(s bitstring.String, p uint64, xs, out []uint64) {
 }
 
 // lookup returns the value table for (s, p), rebuilding the entry when the
-// cached polynomial differs. A published table is immutable — rebuilds swap
+// cached polynomial differs. The entry is matched by content (String.Equal)
+// and holds its own copy of the coefficients, since a caller's string may
+// alias storage it reuses. A published table is immutable — rebuilds swap
 // in a fresh slice — so the lock guards only the pointer exchange and two
 // racing rebuilds merely duplicate work.
 func (c *EvalCache) lookup(s bitstring.String, p uint64) []uint64 {
-	key := s.Key()
 	c.mu.Lock()
-	if c.p == p && c.key == key {
+	if c.p == p && c.s.Equal(s) {
 		t := c.table
 		c.mu.Unlock()
 		return t
@@ -70,8 +71,9 @@ func (c *EvalCache) lookup(s bitstring.String, p uint64) []uint64 {
 	}
 	t := make([]uint64, p)
 	NewPoly(s, p).EvalMany(xs, t)
+	own := bitstring.Concat(s)
 	c.mu.Lock()
-	c.key, c.p, c.table = key, p, t
+	c.s, c.p, c.table = own, p, t
 	c.mu.Unlock()
 	return t
 }

@@ -299,6 +299,47 @@ func TestEvalManyMatchesEval(t *testing.T) {
 	}
 }
 
+// TestEvalCacheMatchesEvalMany checks the cache against Poly.EvalMany for
+// batches on both sides of minTableBatch, with two payloads alternating so
+// that every tabled call rebuilds the entry, over a tabled field and one
+// just above maxTablePrime, where the cache must evaluate directly.
+func TestEvalCacheMatchesEvalMany(t *testing.T) {
+	rng := prng.New(18)
+	payload := func() bitstring.String {
+		raw := make([]byte, 256)
+		for i := range raw {
+			raw[i] = rng.Bit()
+		}
+		return bitstring.FromBits(raw)
+	}
+	payloads := []bitstring.String{payload(), payload()}
+	for _, p := range []uint64{PrimeForLength(256), NextPrime(maxTablePrime + 1)} {
+		var c EvalCache
+		for round := 0; round < 3; round++ {
+			for k, s := range payloads {
+				for _, batch := range []int{1, 7, 8, 64} {
+					xs := make([]uint64, batch)
+					for i := range xs {
+						xs[i] = rng.Uint64n(p)
+					}
+					got, want := make([]uint64, batch), make([]uint64, batch)
+					c.EvalMany(s, p, xs, got)
+					NewPoly(s, p).EvalMany(xs, want)
+					for i := range xs {
+						if got[i] != want[i] {
+							t.Fatalf("p=%d payload %d batch %d point %d: cache %d, EvalMany %d", p, k, batch, i, got[i], want[i])
+						}
+					}
+					tabled := p <= maxTablePrime && batch >= minTableBatch
+					if held := c.p == p && c.s.Equal(s); held != tabled {
+						t.Fatalf("p=%d payload %d batch %d: entry holds the payload = %v, want %v", p, k, batch, held, tabled)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPrimeForLengthCached checks the memo returns the same prime as a
 // fresh search and that repeated calls are allocation-free after warmup.
 func TestPrimeForLengthCached(t *testing.T) {

@@ -186,26 +186,28 @@ func (r randRPLS) CapDecide(_ int, view core.View, _ core.Label, received []core
 
 var _ core.Preparer = randRPLS{}
 
-// Prepare implements core.Preparer: the payload string and its field are
-// prepared once per node.
+// Prepare implements core.Preparer: the payload string and the layout of
+// its certificates are prepared once per node. The payload must be at
+// most 2³⁰ bits (core.NewFingerprintLayout's precondition).
 func (r randRPLS) Prepare(view core.View, _ core.Label) core.Prepared {
 	data := bitstring.FromBytes(view.State.Data)
-	return &node{deg: view.Deg, data: data, p: r.prime(data.Len()), cache: r.cache}
+	layout := core.NewFingerprintLayout(data.Len(), r.prime(data.Len()))
+	return &node{deg: view.Deg, data: data, layout: layout, cache: r.cache}
 }
 
 // node is a prepared node of the direct scheme. The payload polynomial is
 // shared by every lane and port, so each call hands all lanes × ports
 // points to one EvalCache call — a table lookup once the batch is wide
-// enough.
+// enough. Sent and received certificates share the payload's layout.
 type node struct {
-	deg   int
-	data  bitstring.String
-	p     uint64
-	cache *field.EvalCache
+	deg    int
+	data   bitstring.String
+	layout core.FingerprintLayout
+	cache  *field.EvalCache
 }
 
 func (n *node) Certs(rngs []*prng.Rand, out [][]core.Cert) {
-	core.FingerprintLanes(n.data, n.p, rngs, n.deg, n.cache, out)
+	core.FingerprintLanes(n.data, n.layout, rngs, n.deg, n.cache, out)
 }
 
 // Decide parses certificates per lane (lanes fail independently), then
@@ -224,18 +226,18 @@ func (n *node) Decide(recv [][]core.Cert) uint64 {
 			continue
 		}
 		for _, cert := range r {
-			fp, ok := core.ReadFingerprintCert(cert, n.data.Len(), n.p)
+			x, y, ok := n.layout.Decode(cert)
 			if !ok {
 				live &^= 1 << uint(l)
 				break
 			}
-			xs = append(xs, fp.X)
-			ys = append(ys, fp.Y)
+			xs = append(xs, x)
+			ys = append(ys, y)
 			owner = append(owner, l)
 		}
 	}
 	got := buf[2*slots : 2*slots+len(xs)]
-	n.cache.EvalMany(n.data, n.p, xs, got)
+	n.cache.EvalMany(n.data, n.layout.P(), xs, got)
 	for k, l := range owner {
 		if got[k] != ys[k] {
 			live &^= 1 << uint(l)
