@@ -1,6 +1,7 @@
 // Command plscampaign expands a declarative scenario spec into a plan of
 // cells and streams them through the verification engine into a campaign
-// directory (results.jsonl + manifest.jsonl + BENCH_campaign.json).
+// directory (results.jsonl + manifest.jsonl + BENCH_campaign.json +
+// BENCH_curves.json).
 //
 // Usage:
 //
@@ -15,24 +16,17 @@
 // identical to plsrun's.
 //
 //	plscampaign describe -spec examples/campaign/e1_e6.json [-cells]
-//	plscampaign comm -out out/ [-min-ratio 1]
-//	plscampaign tradeoff -out out/ [-assert-decreasing 2]
-//	plscampaign congest -out out/ [-assert-non-increasing] [-min-separated 1]
+//	plscampaign assert -out out/
 //	plscampaign list
 //
 // run is idempotent: cells the directory's manifest marks complete are
 // skipped, so interrupting and re-running resumes where it stopped. resume
-// is run with the spec re-read from the directory itself. comm prints the
-// wire-accounting aggregate (BENCH_comm.json): per-(family, size) det /
-// rand / compiled bits per edge with their ratios, and -min-ratio turns the
-// overall det/rand ratio into an assertion for CI. tradeoff prints the κ/t
-// aggregate (BENCH_tradeoff.json): bits-per-round × t curves from the
-// spec's rounds axis, and -assert-decreasing demands at least that many
-// distinct schemes and families with strictly decreasing curves. congest
-// prints the congestion aggregate (BENCH_congest.json): verified-bits × m
-// curves from the spec's multiplicity axis, -assert-non-increasing fails
-// on any curve that rises toward unicast, and -min-separated demands
-// schemes with a genuine broadcast/unicast gap.
+// is run with the spec re-read from the directory itself. Every run also
+// rewrites BENCH_curves.json, the curve aggregate along the variant,
+// rounds and multiplicity axes. assert re-derives those curves from the
+// directory's results.jsonl and stored spec.json, prints one table per
+// axis, and exits 1 naming each of the spec's `curves` bounds that the
+// data misses (a spec without bounds is report-only).
 //
 // serve and work distribute a campaign over HTTP: serve owns the campaign
 // directory and leases contiguous cell ranges to workers; work executes
@@ -53,6 +47,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -60,6 +55,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -82,7 +78,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: plscampaign run|resume|serve|work|describe|list [flags]")
+		return fmt.Errorf("usage: plscampaign run|resume|serve|work|describe|assert|list [flags]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -96,16 +92,12 @@ func run(args []string) error {
 		return cmdWork(rest)
 	case "describe":
 		return cmdDescribe(rest)
-	case "comm":
-		return cmdComm(rest)
-	case "tradeoff":
-		return cmdTradeoff(rest)
-	case "congest":
-		return cmdCongest(rest)
+	case "assert":
+		return cmdAssert(rest)
 	case "list":
 		return cmdList()
 	default:
-		return fmt.Errorf("unknown subcommand %q (run, resume, serve, work, describe, comm, tradeoff, congest, list)", cmd)
+		return fmt.Errorf("unknown subcommand %q (run, resume, serve, work, describe, assert, list)", cmd)
 	}
 }
 
@@ -331,161 +323,74 @@ func cmdDescribe(args []string) error {
 	return nil
 }
 
-// cmdComm prints the wire-accounting aggregate of a campaign directory and
-// optionally asserts the overall det/rand per-edge ratio, so CI fails fast
-// when a metering regression erases the paper's separation.
-func cmdComm(args []string) error {
-	fs := flag.NewFlagSet("comm", flag.ContinueOnError)
-	out := fs.String("out", "", "campaign directory holding "+campaign.BenchCommFile)
-	minRatio := fs.Float64("min-ratio", 0, "fail unless the overall det/rand bits-per-edge ratio exceeds this (0 = report only)")
+// cmdAssert re-derives the curve aggregate of a campaign directory from
+// its results.jsonl and stored spec.json, prints one table per axis, and
+// fails naming every curve bound of the spec that the curves miss.
+func cmdAssert(args []string) error {
+	fs := flag.NewFlagSet("assert", flag.ContinueOnError)
+	out := fs.String("out", "", "campaign directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("-out directory required")
 	}
-	bench, err := campaign.ReadBenchComm(*out)
+	spec, err := campaign.ReadSpec(*out)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wire accounting for spec %s: %d comm-bearing records\n", bench.Spec, bench.Records)
-	fmt.Println("scheme          | family               |    n |  det b/edge | rand b/edge | comp b/edge | det/rand | det/comp")
-	fmt.Println("----------------+----------------------+------+-------------+-------------+-------------+----------+---------")
-	cost := func(c *campaign.CommCost) string {
-		if c == nil {
-			return "          -"
-		}
-		return fmt.Sprintf("%11.1f", c.AvgBitsPerEdge)
-	}
-	rat := func(r float64) string {
-		if r == 0 {
-			return "       -"
-		}
-		return fmt.Sprintf("%8.2f", r)
-	}
-	for _, row := range bench.Rows {
-		fmt.Printf("%-15s | %-20s | %4d | %s | %s | %s | %s | %s\n",
-			row.Scheme, row.Family, row.N,
-			cost(row.Variants[campaign.VariantDet]),
-			cost(row.Variants[campaign.VariantRand]),
-			cost(row.Variants[campaign.VariantCompiled]),
-			rat(row.DetRandRatio), rat(row.DetCompiledRatio))
-	}
-	fmt.Printf("overall (mean of paired rows): det/rand ratio %s, det/compiled ratio %s\n",
-		rat(bench.DetRandRatio), rat(bench.DetCompiledRatio))
-	if *minRatio > 0 {
-		if bench.DetRandRatio <= *minRatio {
-			return fmt.Errorf("overall det/rand bits-per-edge ratio %.3f does not exceed %.3f — wire metering regressed or the campaign measured no det/rand pair",
-				bench.DetRandRatio, *minRatio)
-		}
-		fmt.Printf("ratio assertion passed: %.2f > %.2f\n", bench.DetRandRatio, *minRatio)
-	}
-	return nil
-}
-
-// cmdTradeoff prints the κ/t tradeoff aggregate of a campaign directory
-// and optionally asserts its shape: -assert-decreasing N fails unless at
-// least N distinct schemes and N distinct families each contribute a
-// strictly decreasing bits-per-round curve, so CI catches a sharding or
-// metering regression that flattens the paper's space–time tradeoff.
-func cmdTradeoff(args []string) error {
-	fs := flag.NewFlagSet("tradeoff", flag.ContinueOnError)
-	out := fs.String("out", "", "campaign directory holding "+campaign.BenchTradeoffFile)
-	assert := fs.Int("assert-decreasing", 0, "fail unless at least this many schemes AND families have strictly decreasing bits-per-round curves (0 = report only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("-out directory required")
-	}
-	bench, err := campaign.ReadBenchTradeoff(*out)
+	recs, err := campaign.ReadRecords(*out)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("κ/t tradeoff for spec %s: %d comm-bearing records, %d curves\n",
-		bench.Spec, bench.Records, len(bench.Curves))
-	fmt.Println("scheme          | variant  | family               |    n | bits/round by t        | strictly decreasing")
-	fmt.Println("----------------+----------+----------------------+------+------------------------+--------------------")
-	for _, c := range bench.Curves {
-		points := ""
-		for i, p := range c.Points {
-			if i > 0 {
-				points += " "
+	curves := campaign.AggregateCurves(spec.Name, recs)
+	fmt.Printf("curves for spec %s: %d comm-bearing records\n", spec.Name, curves.Records)
+	for _, a := range curves.Axes {
+		fmt.Printf("\n%s axis (%s): %d curves, %d witnesses across %d schemes × %d families, %d violations",
+			a.Axis, a.Metric, len(a.Curves), a.Witnesses, a.Schemes, a.Families, a.Violations)
+		if a.DetRandRatio > 0 {
+			fmt.Printf(", mean det/rand %.3f", a.DetRandRatio)
+		}
+		fmt.Println()
+		fmt.Println("scheme          | variant  | family               |    n |   t |   m | points                             | shape")
+		for _, c := range a.Curves {
+			variant, t, m := c.Variant, strconv.Itoa(c.Rounds), strconv.Itoa(c.Multiplicity)
+			switch a.Axis {
+			case campaign.AxisVariant:
+				variant = "*"
+			case campaign.AxisRounds:
+				t = "*"
+			case campaign.AxisMultiplicity:
+				m = "*"
 			}
-			points += fmt.Sprintf("t=%d:%d", p.Rounds, p.BitsPerRound)
-		}
-		fmt.Printf("%-15s | %-8s | %-20s | %4d | %-22s | %v\n",
-			c.Scheme, c.Variant, c.Family, c.N, points, c.StrictlyDecreasing)
-	}
-	fmt.Printf("strictly decreasing: %d curves across %d schemes and %d families\n",
-		bench.DecreasingCurves, bench.DecreasingSchemes, bench.DecreasingFamilies)
-	if *assert > 0 {
-		if bench.DecreasingSchemes < *assert || bench.DecreasingFamilies < *assert {
-			return fmt.Errorf("only %d schemes × %d families show strictly decreasing bits-per-round (want >= %d × %d) — the κ/t tradeoff regressed or the campaign has no rounds axis",
-				bench.DecreasingSchemes, bench.DecreasingFamilies, *assert, *assert)
-		}
-		fmt.Printf("tradeoff assertion passed: %d schemes × %d families >= %d × %d\n",
-			bench.DecreasingSchemes, bench.DecreasingFamilies, *assert, *assert)
-	}
-	return nil
-}
-
-// cmdCongest prints the congestion aggregate of a campaign directory and
-// optionally asserts its shape: -assert-non-increasing fails if any
-// multi-point curve's verified bits rise along the broadcast → unicast
-// axis (verified-bits(m=1) >= verified-bits(m=deg) on every curve), and
-// -min-separated N demands at least N distinct schemes and N families
-// with a strict broadcast/unicast gap — the Patt-Shamir–Perry separation.
-func cmdCongest(args []string) error {
-	fs := flag.NewFlagSet("congest", flag.ContinueOnError)
-	out := fs.String("out", "", "campaign directory holding "+campaign.BenchCongestFile)
-	assertNonInc := fs.Bool("assert-non-increasing", false, "fail if any curve's verified bits rise along the multiplicity axis")
-	minSep := fs.Int("min-separated", 0, "fail unless at least this many schemes AND families show a strict broadcast/unicast gap (0 = report only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("-out directory required")
-	}
-	bench, err := campaign.ReadBenchCongest(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("congestion (broadcast ⇄ unicast) for spec %s: %d comm-bearing records, %d curves\n",
-		bench.Spec, bench.Records, len(bench.Curves))
-	fmt.Println("scheme          | variant  | family               |    n | verified bits by m               | non-incr | separated")
-	fmt.Println("----------------+----------+----------------------+------+----------------------------------+----------+----------")
-	for _, c := range bench.Curves {
-		points := ""
-		for i, p := range c.Points {
-			if i > 0 {
-				points += " "
+			points := make([]string, len(c.Points))
+			for i, p := range c.Points {
+				switch a.Axis {
+				case campaign.AxisRounds:
+					points[i] = fmt.Sprintf("%s:%d", p.At, p.MaxPortBits)
+				case campaign.AxisMultiplicity:
+					points[i] = fmt.Sprintf("%s:%d", p.At, p.TotalBits)
+				default:
+					points[i] = fmt.Sprintf("%s:%.1f", p.At, p.AvgBitsPerEdge)
+				}
 			}
-			if p.Multiplicity == 0 {
-				points += fmt.Sprintf("m=∞:%d", p.VerifiedBits)
-			} else {
-				points += fmt.Sprintf("m=%d:%d", p.Multiplicity, p.VerifiedBits)
+			shape := "-"
+			switch {
+			case c.Violation:
+				shape = "violation"
+			case c.DetRandRatio > 0:
+				shape = fmt.Sprintf("det/rand %.2f", c.DetRandRatio)
+			case c.Witness:
+				shape = "witness"
 			}
+			fmt.Printf("%-15s | %-8s | %-20s | %4d | %3s | %3s | %-34s | %s\n",
+				c.Scheme, variant, c.Family, c.N, t, m, strings.Join(points, " "), shape)
 		}
-		fmt.Printf("%-15s | %-8s | %-20s | %4d | %-32s | %-8v | %v\n",
-			c.Scheme, c.Variant, c.Family, c.N, points, c.NonIncreasing, c.Separated)
 	}
-	fmt.Printf("separated: %d curves across %d schemes and %d families; %d violating curves\n",
-		bench.SeparatedCurves, bench.SeparatedSchemes, bench.SeparatedFamilies, bench.ViolatingCurves)
-	if *assertNonInc && bench.ViolatingCurves > 0 {
-		return fmt.Errorf("%d curves have verified bits RISING toward unicast — congestion metering or cap degradation regressed", bench.ViolatingCurves)
+	if errs := curves.Check(spec.Curves); len(errs) > 0 {
+		return errors.Join(errs...)
 	}
-	if *minSep > 0 {
-		if bench.SeparatedSchemes < *minSep || bench.SeparatedFamilies < *minSep {
-			return fmt.Errorf("only %d schemes × %d families show a broadcast/unicast gap (want >= %d × %d) — the congestion separation regressed or the campaign has no multiplicity axis",
-				bench.SeparatedSchemes, bench.SeparatedFamilies, *minSep, *minSep)
-		}
-		fmt.Printf("separation assertion passed: %d schemes × %d families >= %d × %d\n",
-			bench.SeparatedSchemes, bench.SeparatedFamilies, *minSep, *minSep)
-	}
-	if *assertNonInc {
-		fmt.Println("non-increasing assertion passed: every curve falls (weakly) from broadcast to unicast")
-	}
+	fmt.Printf("\n%d curve bounds hold\n", len(spec.Curves))
 	return nil
 }
 

@@ -37,9 +37,9 @@
 //     families × sizes × seeds × adversaries × measures (acceptance,
 //     soundness, communication) × verification rounds, and a parallel
 //     scheduler streams them into append-only JSONL results with a
-//     resumable manifest and the BENCH_campaign.json / BENCH_comm.json /
-//     BENCH_tradeoff.json aggregates (byte-identical output at any worker
-//     count)
+//     resumable manifest, the BENCH_campaign.json summary and the
+//     BENCH_curves.json det/rand, rounds and multiplicity curves with
+//     spec-declared bounds (byte-identical output at any worker count)
 //   - internal/core       — the PLS/RPLS model of §2.2, compiler, universal
 //     schemes, boosting
 //   - internal/schemes/…  — one package per predicate; each registers its

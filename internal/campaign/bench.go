@@ -1,9 +1,5 @@
 package campaign
 
-import (
-	"path/filepath"
-)
-
 // The aggregate summary: one machine-readable JSON per campaign directory,
 // regenerated from the full results stream after every run (resumed runs
 // therefore fold earlier records in). Groups are maps keyed by scheme and
@@ -93,15 +89,4 @@ func Aggregate(specName string, recs []Record) Bench {
 		b.ByVariants[rec.Variant] = b.ByVariants[rec.Variant].fold(rec)
 	}
 	return b
-}
-
-// WriteBench regenerates BENCH_campaign.json from the directory's full
-// results stream.
-func WriteBench(dir, specName string) (Bench, error) {
-	recs, err := ReadRecords(dir)
-	if err != nil {
-		return Bench{}, err
-	}
-	b := Aggregate(specName, recs)
-	return b, writeBenchJSON(filepath.Join(dir, BenchFile), b)
 }

@@ -1,8 +1,8 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -62,38 +62,36 @@ func TestCommMeasureRecordsWireCost(t *testing.T) {
 }
 
 // TestBenchCommShowsGapGrowingWithSize is the acceptance criterion of the
-// wire-accounting issue: BENCH_comm.json must show the per-edge det/rand
-// gap growing with instance size on at least three graph families.
+// wire-accounting issue: the variant curves of BENCH_curves.json must show
+// the per-edge det/rand gap growing with instance size on at least three
+// graph families.
 func TestBenchCommShowsGapGrowingWithSize(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := (&Runner{Dir: dir, Parallel: 0}).Run(commSpec()); err != nil {
 		t.Fatal(err)
 	}
-	bench, err := ReadBenchComm(dir)
-	if err != nil {
-		t.Fatal(err)
+	bench := readCurves(t, dir)
+	variant := axis(t, bench, AxisVariant)
+	if bench.Records == 0 || len(variant.Curves) == 0 {
+		t.Fatalf("empty variant axis: %+v", bench)
 	}
-	if bench.Records == 0 || len(bench.Rows) == 0 {
-		t.Fatalf("empty comm aggregate: %+v", bench)
+	if variant.DetRandRatio <= 1 {
+		t.Fatalf("mean det/rand per-edge ratio %v, want > 1", variant.DetRandRatio)
 	}
-	if bench.DetRandRatio <= 1 {
-		t.Fatalf("overall det/rand per-edge ratio %v, want > 1", bench.DetRandRatio)
-	}
-	// Rows pair det and rand within one (scheme, family, size): both
-	// variants must be present and every paired ratio must exceed 1.
+	// A variant curve pairs det and rand within one (scheme, family, size):
+	// both points must be present and every paired ratio must exceed 1.
 	gaps := map[string][]float64{} // uniform's family → per-size det−rand gap, in size order
-	for _, row := range bench.Rows {
-		det, rand := row.Variants[VariantDet], row.Variants[VariantRand]
-		if det == nil || rand == nil {
-			t.Fatalf("row %s/%s n=%d missing a variant: %+v", row.Scheme, row.Family, row.N, row.Variants)
+	for _, c := range variant.Curves {
+		if len(c.Points) != 2 || c.Points[0].At != VariantDet || c.Points[1].At != VariantRand {
+			t.Fatalf("curve %s/%s n=%d lacks a det/rand pair: %+v", c.Scheme, c.Family, c.N, c.Points)
 		}
-		if row.DetRandRatio <= 1 {
-			t.Errorf("%s/%s n=%d: det/rand ratio %v, want > 1", row.Scheme, row.Family, row.N, row.DetRandRatio)
+		if c.DetRandRatio <= 1 || !c.Witness {
+			t.Errorf("%s/%s n=%d: det/rand ratio %v, want > 1", c.Scheme, c.Family, c.N, c.DetRandRatio)
 		}
 		// uniform is the λ-scaled scheme (payload grows with n), so its
-		// rows are where the gap must grow with instance size.
-		if row.Scheme == "uniform" {
-			gaps[row.Family] = append(gaps[row.Family], det.AvgBitsPerEdge-rand.AvgBitsPerEdge)
+		// curves are where the gap must grow with instance size.
+		if c.Scheme == "uniform" {
+			gaps[c.Family] = append(gaps[c.Family], c.Points[0].AvgBitsPerEdge-c.Points[1].AvgBitsPerEdge)
 		}
 	}
 	grown := 0
@@ -195,8 +193,8 @@ func TestDeterministicFamilyIsNotRetried(t *testing.T) {
 }
 
 func TestCommBenchWrittenEvenWithoutCommRecords(t *testing.T) {
-	// A soundness-only campaign still writes a (empty-rowed) BENCH_comm.json
-	// so tooling can rely on the file existing.
+	// A soundness-only campaign still writes BENCH_curves.json, with every
+	// axis and no curves, so tooling can rely on the file existing.
 	dir := t.TempDir()
 	spec := Spec{
 		Name:        "soundness-only",
@@ -211,14 +209,23 @@ func TestCommBenchWrittenEvenWithoutCommRecords(t *testing.T) {
 	if _, err := (&Runner{Dir: dir, Parallel: 1}).Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, BenchCommFile)); err != nil {
-		t.Fatalf("BENCH_comm.json missing: %v", err)
+	bench := readCurves(t, dir)
+	if bench.Records != 0 || len(bench.Axes) != 3 {
+		t.Fatalf("soundness-only campaign: %+v, want 0 records on 3 axes", bench)
 	}
-	bench, err := ReadBenchComm(dir)
-	if err != nil {
+	for _, a := range bench.Axes {
+		if len(a.Curves) != 0 {
+			t.Errorf("%s axis folded soundness records: %+v", a.Axis, a.Curves)
+		}
+	}
+}
+
+// readCurves loads a campaign directory's BENCH_curves.json.
+func readCurves(t *testing.T, dir string) BenchCurves {
+	t.Helper()
+	var b BenchCurves
+	if err := json.Unmarshal(readFile(t, filepath.Join(dir, BenchCurvesFile)), &b); err != nil {
 		t.Fatal(err)
 	}
-	if bench.Records != 0 || len(bench.Rows) != 0 {
-		t.Errorf("soundness-only campaign folded comm records: %+v", bench)
-	}
+	return b
 }

@@ -4,76 +4,6 @@ import (
 	"testing"
 )
 
-// crec builds a minimal comm-bearing record at a multiplicity point.
-func crec(scheme, variant, family string, n, mult int, bits, distinct int64) Record {
-	return Record{
-		Scheme: scheme, Variant: variant, Family: family, N: n,
-		Multiplicity: mult, Status: StatusOK, Measure: MeasureComm,
-		TotalBits: bits, TotalDistinct: distinct,
-		TotalMessages: 100, AvgBitsPerEdge: float64(bits) / 100,
-	}
-}
-
-func TestAggregateCongestCurves(t *testing.T) {
-	recs := []Record{
-		// A merging scheme: bits fall strictly from broadcast (m=1) through
-		// m=2 to the unconstrained unicast extreme (m=0, sorted last).
-		crec("a", "rand", "path", 16, 1, 400, 100),
-		crec("a", "rand", "path", 16, 2, 220, 200),
-		crec("a", "rand", "path", 16, 0, 100, 400),
-		// A flat replication-fallback curve: non-increasing but not separated.
-		crec("b", "rand", "path", 16, 1, 50, 100),
-		crec("b", "rand", "path", 16, 0, 50, 400),
-		// A single-point curve can witness nothing.
-		crec("c", "rand", "grid", 16, 1, 30, 10),
-		// A violating curve: bits rise from m=1 to m=0.
-		crec("d", "rand", "grid", 16, 1, 10, 10),
-		crec("d", "rand", "grid", 16, 0, 20, 40),
-		// Multi-round and non-comm records must not be folded.
-		{Scheme: "a", Variant: "rand", Family: "path", N: 16, Rounds: 3, Status: StatusOK, Measure: MeasureComm, TotalBits: 999, TotalMessages: 1},
-		{Scheme: "a", Variant: "rand", Family: "path", N: 16, Status: StatusOK, Measure: MeasureSoundness, TotalBits: 999, TotalMessages: 1},
-	}
-	b := AggregateCongest("spec", recs)
-	if b.Records != 8 {
-		t.Fatalf("folded %d records, want 8", b.Records)
-	}
-	if len(b.Curves) != 4 {
-		t.Fatalf("%d curves, want 4", len(b.Curves))
-	}
-	byScheme := map[string]CongestCurve{}
-	for _, c := range b.Curves {
-		byScheme[c.Scheme] = c
-	}
-	a := byScheme["a"]
-	if !a.NonIncreasing || !a.Separated {
-		t.Errorf("curve a should be non-increasing and separated: %+v", a)
-	}
-	// Axis order: m=1 first, capped ascending, m=0 (unicast) last.
-	if len(a.Points) != 3 || a.Points[0].Multiplicity != 1 ||
-		a.Points[1].Multiplicity != 2 || a.Points[2].Multiplicity != 0 {
-		t.Errorf("curve a axis order wrong: %+v", a.Points)
-	}
-	if a.Points[0].VerifiedBits != 400 || a.Points[2].DistinctMessages != 400 {
-		t.Errorf("curve a point sums wrong: %+v", a.Points)
-	}
-	if bb := byScheme["b"]; !bb.NonIncreasing || bb.Separated {
-		t.Errorf("flat curve b should be non-increasing but not separated: %+v", bb)
-	}
-	if cc := byScheme["c"]; cc.NonIncreasing || cc.Separated {
-		t.Errorf("single-point curve c can witness nothing: %+v", cc)
-	}
-	if dd := byScheme["d"]; dd.NonIncreasing || dd.Separated {
-		t.Errorf("violating curve d wrongly classified: %+v", dd)
-	}
-	if b.ViolatingCurves != 1 {
-		t.Errorf("ViolatingCurves = %d, want 1 (curve d)", b.ViolatingCurves)
-	}
-	if b.SeparatedCurves != 1 || b.SeparatedSchemes != 1 || b.SeparatedFamilies != 1 {
-		t.Errorf("separated counts = %d curves, %d schemes, %d families; want 1, 1, 1",
-			b.SeparatedCurves, b.SeparatedSchemes, b.SeparatedFamilies)
-	}
-}
-
 func TestSpecMultiplicityValidation(t *testing.T) {
 	base := Spec{
 		Name:     "m",

@@ -320,9 +320,9 @@ func ProgressFunc(log *slog.Logger, total int) func(written int) {
 }
 
 // WriteAggregates re-reads the directory's full results stream and
-// rewrites the four aggregate files, logging one phase=aggregate record
-// per non-empty aggregate. Every driver calls it exactly once, after its
-// last cell is written.
+// rewrites BENCH_campaign.json and BENCH_curves.json, logging one
+// phase=aggregate record per non-empty aggregate. Every driver calls it
+// exactly once, after its last cell is written.
 func WriteAggregates(dir, specName string, log *slog.Logger) error {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
@@ -335,38 +335,15 @@ func WriteAggregates(dir, specName string, log *slog.Logger) error {
 	if err := writeBenchJSON(filepath.Join(dir, BenchFile), bench); err != nil {
 		return err
 	}
-	comm := AggregateComm(specName, recs)
-	if err := writeBenchJSON(filepath.Join(dir, BenchCommFile), comm); err != nil {
-		return err
-	}
-	tradeoff := AggregateTradeoff(specName, recs)
-	if err := writeBenchJSON(filepath.Join(dir, BenchTradeoffFile), tradeoff); err != nil {
-		return err
-	}
-	congest := AggregateCongest(specName, recs)
-	if err := writeBenchJSON(filepath.Join(dir, BenchCongestFile), congest); err != nil {
+	curves := AggregateCurves(specName, recs)
+	if err := writeBenchJSON(filepath.Join(dir, BenchCurvesFile), curves); err != nil {
 		return err
 	}
 	log.Info("campaign", "phase", "aggregate", "spec", specName,
 		"records", bench.Records, "file", BenchFile)
-	if comm.Records > 0 {
+	if curves.Records > 0 {
 		log.Info("campaign", "phase", "aggregate", "spec", specName,
-			"records", comm.Records, "file", BenchCommFile, "detRandRatio", comm.DetRandRatio)
-	}
-	if tradeoff.DecreasingCurves > 0 {
-		log.Info("campaign", "phase", "aggregate", "spec", specName,
-			"records", tradeoff.Records, "file", BenchTradeoffFile,
-			"decreasingCurves", tradeoff.DecreasingCurves,
-			"decreasingSchemes", tradeoff.DecreasingSchemes,
-			"decreasingFamilies", tradeoff.DecreasingFamilies)
-	}
-	if congest.Records > 0 {
-		log.Info("campaign", "phase", "aggregate", "spec", specName,
-			"records", congest.Records, "file", BenchCongestFile,
-			"violatingCurves", congest.ViolatingCurves,
-			"separatedCurves", congest.SeparatedCurves,
-			"separatedSchemes", congest.SeparatedSchemes,
-			"separatedFamilies", congest.SeparatedFamilies)
+			"records", curves.Records, "file", BenchCurvesFile)
 	}
 	return nil
 }

@@ -40,30 +40,29 @@
 // Resume contract: a campaign directory holds spec.json (provenance),
 // results.jsonl (one Record per executed cell, append-only),
 // manifest.jsonl (one line per completed cell ID, append-only), and
-// BENCH_campaign.json (the aggregate, rewritten after every run). A
+// BENCH_campaign.json and BENCH_curves.json (the aggregates, rewritten
+// after every run). A
 // re-run loads the manifest and skips completed cells without re-executing
 // or re-writing them; extending a spec (more sizes, more seeds) in the
 // same directory executes only the new cells.
 //
 // Wire accounting: the estimate and comm measures record the engine's
-// exact wire counters (TotalBits, MaxPortBits, AvgBitsPerEdge) per cell,
-// and every run additionally rewrites BENCH_comm.json — per-(scheme,
-// family, size) det / rand / compiled bits-per-edge with ratios paired
-// within a scheme, the empirical Θ(λ) vs O(log λ) separation the paper
-// is about. Seed-dependent
-// generator failures (a d-regular pairing that never mixed) are retried
-// with derived seeds and the retry count is recorded on the cell instead
-// of surfacing a spurious incompatible hole.
+// exact wire counters (TotalBits, TotalDistinct, MaxPortBits,
+// AvgBitsPerEdge) per cell. Seed-dependent generator failures (a
+// d-regular pairing that never mixed) are retried with derived seeds and
+// the retry count is recorded on the cell instead of surfacing a spurious
+// incompatible hole. Specs may add a rounds axis (t-PLS sharding) and a
+// multiplicity axis (message-multiplicity caps, 0 = unconstrained
+// unicast, 1 = broadcast), both nested innermost so older cell IDs —
+// which carry no /r= or /m= marker — stay resume-compatible.
 //
-// Congestion: specs may add a multiplicity axis (message-multiplicity
-// caps, 0 = unconstrained unicast, 1 = broadcast), nested innermost so
-// pre-congestion cell IDs — which carry no /m= marker — stay
-// resume-compatible. Comm cells record the cap and the engine's
-// distinct-message counter, and every run rewrites BENCH_congest.json:
-// verified-bits vs m curves per (scheme, variant, family, size) ordered
-// broadcast-first/unicast-last, with non-increase and
-// broadcast-vs-unicast separation flags that `plscampaign congest` turns
-// into CI assertions. See DESIGN.md, "Congestion-bounded verification".
+// Curves: every run rewrites BENCH_curves.json, the paper's measurable
+// claims as curves along three axes — det / rand / compiled bits per
+// edge (the Θ(λ) vs O(log λ) separation), bits per round over t (the
+// κ/t tradeoff), and verified bits over m (broadcast ⇄ unicast). Each
+// curve holds every other axis of the cross product fixed. A spec's
+// "curves" bounds turn them into assertions that `plscampaign assert`
+// checks. See DESIGN.md, "Curve aggregate".
 //
 // Observability: the scheduler narrates each run through a structured
 // log/slog logger (phase=plan|execute|progress|aggregate|done records with

@@ -92,7 +92,7 @@ func readFile(t *testing.T, path string) []byte {
 // compareDirs asserts the files a distributed run must reproduce exactly.
 func compareDirs(t *testing.T, want, got string) {
 	t.Helper()
-	for _, name := range []string{campaign.ResultsFile, campaign.ManifestFile, campaign.BenchFile} {
+	for _, name := range []string{campaign.ResultsFile, campaign.ManifestFile, campaign.BenchFile, campaign.BenchCurvesFile} {
 		w := readFile(t, filepath.Join(want, name))
 		g := readFile(t, filepath.Join(got, name))
 		if !bytes.Equal(w, g) {

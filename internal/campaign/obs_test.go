@@ -13,8 +13,9 @@ import (
 
 // The no-influence guarantee at campaign scale: a run with the obs
 // recorder fully live (metrics, spans, progress gauges) writes
-// results.jsonl and BENCH_campaign.json byte-identical to a metrics-off
-// run, at any parallelism and with the batched executor on the axis.
+// results.jsonl, BENCH_campaign.json and BENCH_curves.json byte-identical
+// to a metrics-off run, at any parallelism and with the batched executor
+// on the axis.
 
 func obsSpec() Spec {
 	s := testSpec()
@@ -29,7 +30,6 @@ func TestGoldenResultsWithMetricsOn(t *testing.T) {
 	offDir := t.TempDir()
 	runInto(t, spec, offDir, 1)
 	offResults := readFile(t, filepath.Join(offDir, ResultsFile))
-	offBench := readFile(t, filepath.Join(offDir, BenchFile))
 
 	for _, parallel := range []int{1, 4} {
 		obs.Reset()
@@ -43,8 +43,10 @@ func TestGoldenResultsWithMetricsOn(t *testing.T) {
 		if got := readFile(t, filepath.Join(onDir, ResultsFile)); !bytes.Equal(got, offResults) {
 			t.Errorf("parallel=%d: results.jsonl differs between metrics on and off", parallel)
 		}
-		if got := readFile(t, filepath.Join(onDir, BenchFile)); !bytes.Equal(got, offBench) {
-			t.Errorf("parallel=%d: %s differs between metrics on and off", parallel, BenchFile)
+		for _, name := range []string{BenchFile, BenchCurvesFile} {
+			if got := readFile(t, filepath.Join(onDir, name)); !bytes.Equal(got, readFile(t, filepath.Join(offDir, name))) {
+				t.Errorf("parallel=%d: %s differs between metrics on and off", parallel, name)
+			}
 		}
 		// The comparison is vacuous unless the run actually recorded.
 		if snap.Counter("campaign.cells.ok") == 0 {

@@ -281,15 +281,13 @@ func RunCell(c Cell) Record {
 		return fail(err)
 	}
 
-	trials := c.Trials
+	opts := []engine.Option{engine.WithSeed(c.Seed), engine.WithExecutor(exec)}
 	if engine.IsCoinFree(s) {
-		trials = 1 // a coin-free execution is the same every trial
-	}
-	opts := []engine.Option{
-		engine.WithSeed(c.Seed),
-		engine.WithTrials(trials),
-		engine.WithExecutor(exec),
-		engine.WithMaxSE(c.MaxSE),
+		// A coin-free execution is the same every trial: one trial measures
+		// it exactly, and there is no interval to stop early on.
+		opts = append(opts, engine.WithTrials(1))
+	} else {
+		opts = append(opts, engine.WithTrials(c.Trials), engine.WithMaxSE(c.MaxSE))
 	}
 	if c.Multiplicity > 0 {
 		// The congestion cell: the scheme runs under a message-multiplicity

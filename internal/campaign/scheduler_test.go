@@ -26,10 +26,11 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // The golden determinism contract: the same spec and seed yield
-// byte-identical results.jsonl for every -parallel value.
+// byte-identical results.jsonl and BENCH_curves.json for every -parallel
+// value.
 func TestGoldenResultsAcrossParallelism(t *testing.T) {
 	spec := testSpec()
-	var golden []byte
+	var golden, goldenCurves []byte
 	for _, parallel := range []int{1, 4, 0} {
 		dir := filepath.Join(t.TempDir(), "campaign")
 		rep := runInto(t, spec, dir, parallel)
@@ -43,12 +44,16 @@ func TestGoldenResultsAcrossParallelism(t *testing.T) {
 			t.Fatalf("parallel=%d: no ok cells", parallel)
 		}
 		got := readFile(t, filepath.Join(dir, ResultsFile))
+		curves := readFile(t, filepath.Join(dir, BenchCurvesFile))
 		if golden == nil {
-			golden = got
+			golden, goldenCurves = got, curves
 			continue
 		}
 		if !bytes.Equal(golden, got) {
 			t.Fatalf("results.jsonl differs between parallel=1 and parallel=%d", parallel)
+		}
+		if !bytes.Equal(goldenCurves, curves) {
+			t.Fatalf("%s differs between parallel=1 and parallel=%d", BenchCurvesFile, parallel)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"rpls/internal/engine"
@@ -83,16 +84,24 @@ type Spec struct {
 	Trials       int      `json:"trials,omitempty"`
 	Assignments  int      `json:"assignments,omitempty"`
 	MaxSE        float64  `json:"maxse,omitempty"`
+	// Curves bounds the curve aggregate (BENCH_curves.json), at most once
+	// per axis; `plscampaign assert` checks them. Without it a spec is
+	// report-only. Bounds do not enter cell IDs.
+	Curves []CurveBound `json:"curves,omitempty"`
 }
 
-// ParseSpec decodes and validates a JSON spec. Unknown fields are errors so
-// a typoed axis name cannot silently vanish from a campaign.
+// ParseSpec decodes and validates a JSON spec. Unknown fields and any data
+// after the spec object are errors, so a typoed axis name or a second
+// spec cannot silently vanish from a campaign.
 func ParseSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("campaign: parse spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("campaign: parse spec: data after the spec object")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -122,7 +131,8 @@ func (s Spec) withDefaults() Spec {
 
 // Validate checks every axis against the registries: scheme names and
 // variants against engine.Registry, family names against graph.Families,
-// measures and executors against the known sets.
+// measures and executors against the known sets, and curve bounds against
+// the curve axes.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: spec needs a name")
@@ -216,7 +226,12 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	}
-	return nil
+	// Like a negative cap, a negative half-width would fail every cell in
+	// the engine's WithMaxSE check at run time.
+	if s.MaxSE < 0 {
+		return fmt.Errorf("campaign: maxse %g invalid (need >= 0; 0 = no early stop)", s.MaxSE)
+	}
+	return validateCurveBounds(s.Curves)
 }
 
 func registeredSchemes() string {

@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,6 +38,12 @@ func TestParseSpecRejectsUnknownNames(t *testing.T) {
 		{"unknown field", `{"name":"x","schemez":[]}`, "unknown field"},
 		{"missing axes", `{"name":"x"}`, "needs schemes"},
 		{"tiny size", `{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"path"}],"sizes":[1],"seeds":[1],"measures":["estimate"]}`, "too small"},
+		{"negative maxse", okSpec(`,"maxse":-0.2`), "maxse -0.2 invalid"},
+		{"second spec after the object", okSpec(``) + ` {"name":"b","sizes":[999]}`, "data after the spec object"},
+		{"garbage after the object", okSpec(``) + ` trailing garbage`, "data after the spec object"},
+		{"unknown curve axis", okSpec(`,"curves":[{"axis":"size","min":1}]`), "unknown curve axis"},
+		{"duplicate curve axis", okSpec(`,"curves":[{"axis":"rounds","min":1},{"axis":"rounds","min":2}]`), "bounded twice"},
+		{"negative curve min", okSpec(`,"curves":[{"axis":"variant","min":-1}]`), "min >= 0"},
 	}
 	// The retired executors are unknown names, not aliases: cell IDs encode
 	// the executor, so a spec naming one must fail rather than re-map.
@@ -56,6 +65,80 @@ func TestParseSpecRejectsUnknownNames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// okSpec is a valid one-cell spec document with extra fields spliced in.
+func okSpec(extra string) string {
+	return `{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"path"}],"sizes":[8],"seeds":[1],"measures":["estimate"]` + extra + `}`
+}
+
+// FuzzParseSpec feeds hostile spec JSON to the parser. Oracle: no panic;
+// an accepted spec's stored form — spec.json as Prepare writes it, which
+// resume and `plscampaign assert` read back — re-parses, curve bounds
+// included, and expands to the same cell IDs in the same order.
+func FuzzParseSpec(f *testing.F) {
+	for _, name := range []string{"comm", "e1_e6", "smoke", "tradeoff"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "examples", "campaign", name+".json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(okSpec(`,"maxse":-0.2`)))
+	f.Add([]byte(okSpec(``) + ` trailing garbage`))
+	f.Add([]byte(okSpec(`,"curves":[{"axis":"size","min":1}]`)))
+	f.Add([]byte(okSpec(`,"curves":[{"axis":"rounds","min":1},{"axis":"rounds","min":2}]`)))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil || cellBound(spec) > 4096 {
+			return
+		}
+		plan, err := Expand(spec)
+		if err != nil {
+			return // duplicate axis values
+		}
+		if err := writeSpec(filepath.Join(dir, SpecFile), plan.Spec); err != nil {
+			t.Fatal(err)
+		}
+		stored, err := ReadSpec(dir)
+		if err != nil {
+			t.Fatalf("stored spec does not re-parse: %v", err)
+		}
+		again, err := Expand(stored)
+		if err != nil {
+			t.Fatalf("stored spec does not expand: %v", err)
+		}
+		if len(again.Cells) != len(plan.Cells) {
+			t.Fatalf("stored spec expands to %d cells, want %d", len(again.Cells), len(plan.Cells))
+		}
+		for i, c := range plan.Cells {
+			if again.Cells[i].ID() != c.ID() {
+				t.Fatalf("cell %d: stored spec gives %s, want %s", i, again.Cells[i].ID(), c.ID())
+			}
+		}
+		if !slices.Equal(stored.Curves, spec.Curves) {
+			t.Fatalf("curve bounds %+v stored as %+v", spec.Curves, stored.Curves)
+		}
+	})
+}
+
+// cellBound is an upper bound on a spec's expanded cell count (every
+// scheme counted at its largest variant list), saturating past 4096 so a
+// fuzzed spec cannot make the harness expand millions of cells.
+func cellBound(s Spec) int {
+	n := 0
+	for _, ax := range s.Schemes {
+		n += max(len(ax.Variants), 2)
+	}
+	for _, l := range []int{len(s.Families), len(s.Sizes), len(s.Seeds), max(len(s.Executors), 1),
+		len(s.Measures), max(len(s.Rounds), 1), max(len(s.Multiplicity), 1)} {
+		if n > 4096 {
+			break
+		}
+		n *= l
+	}
+	return n
 }
 
 func TestExpandOrderAndIDs(t *testing.T) {

@@ -1,69 +1,11 @@
 package campaign
 
 import (
+	"reflect"
 	"testing"
 
 	"rpls/internal/core"
 )
-
-// rec builds a minimal comm-bearing record for aggregation tests.
-func rec(scheme, variant, family string, n, rounds, portBits int) Record {
-	return Record{
-		Scheme: scheme, Variant: variant, Family: family, N: n,
-		Rounds: rounds, Status: StatusOK, Measure: MeasureComm,
-		MaxPortBits: portBits, TotalBits: int64(portBits) * 100,
-		TotalMessages: 100, AvgBitsPerEdge: float64(portBits),
-	}
-}
-
-func TestAggregateTradeoffCurves(t *testing.T) {
-	recs := []Record{
-		// A strictly decreasing curve: 40 > 20 > 10. The t=1 record carries
-		// Rounds 0 (the pre-rounds on-disk form) and must count as t=1.
-		rec("a", "det", "path", 16, 0, 40),
-		rec("a", "det", "path", 16, 2, 20),
-		rec("a", "det", "path", 16, 4, 10),
-		// A flat curve: sharding did nothing (κ = 1); not decreasing.
-		rec("b", "rand", "path", 16, 1, 1),
-		rec("b", "rand", "path", 16, 2, 1),
-		// A single-point curve can never witness the tradeoff.
-		rec("c", "rand", "grid", 16, 1, 30),
-		// A non-monotone curve: 8 then 9.
-		rec("d", "det", "grid", 16, 1, 16),
-		rec("d", "det", "grid", 16, 2, 8),
-		rec("d", "det", "grid", 16, 4, 9),
-		// Errors and soundness records must not be folded.
-		{Scheme: "a", Variant: "det", Family: "path", N: 16, Status: StatusError, Measure: MeasureComm, MaxPortBits: 999, TotalMessages: 1},
-		{Scheme: "a", Variant: "det", Family: "path", N: 16, Status: StatusOK, Measure: MeasureSoundness, MaxPortBits: 999, TotalMessages: 1},
-	}
-	b := AggregateTradeoff("spec", recs)
-	if b.Records != 9 {
-		t.Fatalf("folded %d records, want 9", b.Records)
-	}
-	if len(b.Curves) != 4 {
-		t.Fatalf("%d curves, want 4", len(b.Curves))
-	}
-	byScheme := map[string]TradeoffCurve{}
-	for _, c := range b.Curves {
-		byScheme[c.Scheme] = c
-	}
-	a := byScheme["a"]
-	if !a.StrictlyDecreasing {
-		t.Errorf("curve a not marked strictly decreasing: %+v", a)
-	}
-	if len(a.Points) != 3 || a.Points[0].Rounds != 1 || a.Points[0].BitsPerRound != 40 {
-		t.Errorf("curve a points wrong (Rounds 0 must normalize to 1): %+v", a.Points)
-	}
-	for _, name := range []string{"b", "c", "d"} {
-		if byScheme[name].StrictlyDecreasing {
-			t.Errorf("curve %s wrongly marked strictly decreasing", name)
-		}
-	}
-	if b.DecreasingCurves != 1 || b.DecreasingSchemes != 1 || b.DecreasingFamilies != 1 {
-		t.Errorf("decreasing counts = %d curves, %d schemes, %d families; want 1, 1, 1",
-			b.DecreasingCurves, b.DecreasingSchemes, b.DecreasingFamilies)
-	}
-}
 
 func TestSpecRoundsValidation(t *testing.T) {
 	base := Spec{
@@ -175,5 +117,24 @@ func TestRunCellRounds(t *testing.T) {
 			t.Errorf("t=%d: total bits %d != base %d", rounds, r.TotalBits, base.TotalBits)
 		}
 		prev = r.MaxPortBits
+	}
+
+	// maxse: a coin-free cell runs its one trial with no early stop to
+	// make, so its record is the maxse-free one under the /se= ID, while a
+	// randomized cell still stops once its interval is narrow enough.
+	for _, rounds := range []int{1, 2, 4} {
+		c := mk(rounds)
+		c.MaxSE = 0.2
+		want := RunCell(mk(rounds))
+		want.Cell = c.ID()
+		if got := RunCell(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("t=%d coin-free cell with maxse: got %+v, want %+v", rounds, got, want)
+		}
+	}
+	c := mk(1)
+	c.Variant, c.MaxSE = VariantRand, 0.2
+	if r := RunCell(c); r.Status != StatusOK || r.Trials >= c.Trials {
+		t.Errorf("rand cell with maxse: status %s (%s), %d trials, want ok and fewer than %d",
+			r.Status, r.Reason, r.Trials, c.Trials)
 	}
 }

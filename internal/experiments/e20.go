@@ -101,6 +101,6 @@ func E20RoundTradeoff(seed uint64, quick bool) (Table, error) {
 	t.Notes = append(t.Notes,
 		"bits/round is the largest single message of any round (engine Stats.MaxPortBits): exactly the ⌈κ/t⌉ shard of the fixed layout in core/shard.go.",
 		"Total det bits are identical for every t on a family — the tradeoff redistributes the proof across rounds without inflating it.",
-		"The campaign form of this table is BENCH_tradeoff.json (plscampaign tradeoff), which CI asserts is strictly decreasing.")
+		"The campaign form of this table is the rounds axis of BENCH_curves.json, whose smoke bound (strictly decreasing for >= 2 schemes × 2 families) plscampaign assert checks in CI; this experiment stays to check ⌈κ/t⌉ and conserved totals exactly.")
 	return t, nil
 }

@@ -129,7 +129,7 @@ func E21Congestion(seed uint64, quick bool) (Table, error) {
 	t.Notes = append(t.Notes,
 		"m=∞ rows are the unconstrained classic round (the unicast extreme); rows are in congestion-axis order, broadcast first.",
 		"unif rand and unif compiled implement core.CappedRPLS: a port class carries the γ-framed concatenation of its members' fingerprints, so bits fall like Σ class² as m grows. Both executors answer these capped rounds through the schemes' label path (CapCerts/CapDecide), the one scheme shape without a prepared node. unif det broadcasts its label on every port, which meets every cap, and stays flat.",
-		"Every row was computed 4 times (Sequential and Batched × parallelism 1 and 4) and the summaries compared for byte identity; the campaign form of this table is BENCH_congest.json (plscampaign congest), which CI gates.")
+		"Every row was computed 4 times (Sequential and Batched × parallelism 1 and 4) and the summaries compared for byte identity; the campaign form of this table is the multiplicity axis of BENCH_curves.json, whose smoke bound plscampaign assert checks in CI.")
 	return t, nil
 }
 
