@@ -1,11 +1,13 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -59,13 +61,13 @@ const (
 	cellDone                 // delivered to the Sink (first record won)
 )
 
-// lease is one live grant over todo range [start, end).
+// lease is one live grant over todo range [start, end). It is released
+// once no cell of the range is still cellLeased.
 type lease struct {
 	id       uint64
 	worker   string
 	start    int
 	end      int
-	pending  int // cells of the range not yet processed through this lease
 	deadline obs.Time
 	span     obs.Span // per-lease trace span, Tid = worker ordinal
 }
@@ -267,7 +269,6 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 		worker:   worker,
 		start:    start,
 		end:      end,
-		pending:  end - start,
 		deadline: now + obs.Time(c.opts.LeaseTTL),
 	}
 	sp := obs.Begin("fabric.lease")
@@ -296,8 +297,10 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 
 // accept validates and delivers reported records. Records for cells that
 // are already done (a reclaimed lease's original owner racing its
-// replacement) are counted and dropped; everything else flows through the
-// Sink, which writes in plan order.
+// replacement, or a replayed report) are counted and dropped; everything
+// else flows through the Sink, which writes in plan order. A record's line
+// must be in the compact form MarshalRecord writes: the Sink writes it
+// verbatim as one line of results.jsonl.
 func (c *Coordinator) accept(req ReportRequest) (ReportResponse, error) {
 	now := obs.Clock()
 	c.mu.Lock()
@@ -310,8 +313,9 @@ func (c *Coordinator) accept(req ReportRequest) (ReportResponse, error) {
 		if id := c.prep.Todo[rec.Index].ID(); id != rec.Cell {
 			return ReportResponse{}, fmt.Errorf("fabric: record %d names cell %q, plan has %q", rec.Index, rec.Cell, id)
 		}
-		if live && rec.Index >= l.start && rec.Index < l.end {
-			l.pending--
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, rec.Line); err != nil || !bytes.Equal(compact.Bytes(), rec.Line) {
+			return ReportResponse{}, fmt.Errorf("fabric: record %d line is not one compact JSON value", rec.Index)
 		}
 		if c.state[rec.Index] == cellDone {
 			obsDuplicates.Inc()
@@ -325,7 +329,7 @@ func (c *Coordinator) accept(req ReportRequest) (ReportResponse, error) {
 	}
 	if live {
 		l.deadline = now + obs.Time(c.opts.LeaseTTL) // a report renews like a heartbeat
-		if l.pending <= 0 {
+		if !slices.Contains(c.state[l.start:l.end], cellLeased) {
 			c.releaseLocked(l)
 		}
 	}
@@ -422,9 +426,14 @@ func (c *Coordinator) retryMillis() int64 {
 	return ms
 }
 
-// decodeBody decodes a JSON request body, replying 400 on failure.
+// maxBodyBytes bounds a request body. An honest body is far smaller: a
+// report carries one record line (under 600 bytes on the smoke campaign).
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes,
+// replying 400 on failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
 		http.Error(w, fmt.Sprintf("fabric: bad request body: %v", err), http.StatusBadRequest)
 		return false
 	}

@@ -291,7 +291,7 @@ func RunCell(c Cell) Record {
 	}
 	if c.Multiplicity > 0 {
 		// The congestion cell: the scheme runs under a message-multiplicity
-		// cap, degrading natively or by replication (engine withCap).
+		// cap, degrading by merging or by replication (engine withCap).
 		rec.Multiplicity = c.Multiplicity
 		opts = append(opts, engine.WithMultiplicity(c.Multiplicity))
 	}

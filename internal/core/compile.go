@@ -135,29 +135,22 @@ func (c *compiled) Certs(view View, own Label, rng *prng.Rand) []Cert {
 	return certs
 }
 
-// Decide checks every received fingerprint against the stored replica of
-// that neighbor's label, then runs the original deterministic verifier on
-// the replicas.
+// Decide checks every received fingerprint — gamma length prefix plus
+// (x, A(x)) — against the stored replica of that neighbor's label, then
+// runs the original deterministic verifier on the replicas. A length
+// mismatch rejects outright: the replica cannot equal the sender's label.
 func (c *compiled) Decide(view View, own Label, received []Cert) bool {
 	self, replicas, err := c.splitLabel(own, view.Deg)
 	if err != nil || len(received) != view.Deg {
 		return false
 	}
-	for i, cert := range received {
-		if !checkFingerprint(cert, replicas[i]) {
+	for i, rep := range replicas {
+		fp, ok := ReadFingerprintCert(received[i], rep.Len(), field.PrimeForLength(rep.Len()))
+		if !ok || !fp.Matches(rep) {
 			return false
 		}
 	}
 	return c.inner.Verify(view, self, replicas)
-}
-
-// checkFingerprint verifies one transmitted certificate — gamma length
-// prefix plus (x, A(x)) — against the receiver's stored replica of the
-// sender's label. A length mismatch rejects outright: the replica cannot
-// equal the sender's label.
-func checkFingerprint(cert Cert, replica Label) bool {
-	fp, ok := ReadFingerprintCert(cert, replica.Len(), field.PrimeForLength(replica.Len()))
-	return ok && fp.Matches(replica)
 }
 
 // compiledNode is one node's prepared compiled label: the self sub-label
@@ -256,40 +249,4 @@ func (n *compiledNode) Decide(recv [][]Cert) uint64 {
 		}
 	}
 	return live
-}
-
-var _ CappedRPLS = (*compiled)(nil)
-
-// CapCerts implements CappedRPLS by payload merging: every port's
-// fingerprint is a fingerprint of the SAME string — the node's own
-// sub-label, drawn with the unicast coins rng.Fork(port) — so the class
-// messages are just CapMerge bundles of the unicast certificates. Any
-// deterministic scheme run through Compile therefore degrades natively
-// under a multiplicity cap.
-func (c *compiled) CapCerts(m int, view View, own Label, rng *prng.Rand) []Cert {
-	return CapMerge(c.Certs(view, own, rng), m)
-}
-
-// CapDecide mirrors Decide for the merged wire format: every member of
-// the class message received on port i fingerprints the sender's own
-// sub-label, so all of them must match the stored replica of that label.
-// Equal strings always match (one-sided completeness); the reverse edge's
-// own fingerprint is among the members, so soundness is at least unicast.
-func (c *compiled) CapDecide(_ int, view View, own Label, received []Cert) bool {
-	self, replicas, err := c.splitLabel(own, view.Deg)
-	if err != nil || len(received) != view.Deg {
-		return false
-	}
-	for i, msg := range received {
-		members, err := CapSplit(msg)
-		if err != nil || len(members) == 0 {
-			return false // the reverse edge's fingerprint must be present
-		}
-		for _, cert := range members {
-			if !checkFingerprint(cert, replicas[i]) {
-				return false
-			}
-		}
-	}
-	return c.inner.Verify(view, self, replicas)
 }

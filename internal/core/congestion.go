@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rpls/internal/bitstring"
-	"rpls/internal/prng"
 )
 
 // Congestion-bounded verification (Patt-Shamir & Perry: broadcast, unicast
@@ -15,7 +14,9 @@ import (
 // independent), and the values in between interpolate. The cap never
 // changes what a round IS — one string per port — only how many distinct
 // strings a node may mint, so executors, gathering, and wire accounting
-// are untouched; the cap acts entirely on the certificate generator.
+// are untouched. This file defines the class assignment and the wire
+// formats of the two degradations, CapMerge and CapReplicate; the engine
+// applies them around every scheme's own nodes (engine/congestion.go).
 //
 // The class assignment is fixed and global: 0-based port i belongs to
 // class PortClass(i, m) = i mod m. Round-robin keeps class sizes balanced
@@ -31,35 +32,6 @@ func PortClass(i, m int) int {
 		return i
 	}
 	return i % m
-}
-
-// CappedRPLS is the optional degradation interface: a randomized scheme
-// that knows how to verify under a multiplicity cap implements it to elect
-// or merge per-class payloads itself (e.g. concatenating the class
-// members' fields so receivers can check set-membership). CapCerts must
-// return one certificate per port, with all ports of one PortClass class
-// carrying byte-identical payloads; the engine meters whatever it returns
-// and guarantees nothing else.
-//
-// A native scheme owns both directions of the wire format: its merged
-// class messages are generally unreadable by the unicast Decide, so the
-// engine routes decisions through CapDecide whenever certificates came
-// from CapCerts. The pairing is part of the contract — implement both or
-// neither.
-type CappedRPLS interface {
-	RPLS
-	// CapCerts generates the certificates of one round under cap m >= 1.
-	// The coin contract is unchanged: rng is the node's per-trial stream,
-	// and the coins behind each original port's contribution must be the
-	// ones unicast Certs would have drawn (typically rng.Fork(port)), so a
-	// capped run at m >= deg carries exactly the unicast fingerprints.
-	CapCerts(m int, view View, own Label, rng *prng.Rand) []Cert
-	// CapDecide is the decision rule matching CapCerts' wire format:
-	// received[i] is the class message minted by the neighbor on port i
-	// for whichever of ITS port classes the reverse edge falls in. The
-	// receiver does not learn the sender's degree or class sizes; formats
-	// must be self-delimiting (see CapMerge).
-	CapDecide(m int, view View, own Label, received []Cert) bool
 }
 
 // CapMerge is the payload-merging degradation: it concatenates the
@@ -102,7 +74,7 @@ func CapMerge(certs []Cert, m int) []Cert {
 
 // CapSplit parses one CapMerge class message back into its member
 // certificates, in the sender's member port order. Errors on malformed
-// framing; a scheme's CapDecide should reject such a message.
+// framing; the receiver rejects such a message.
 func CapSplit(msg Cert) ([]Cert, error) {
 	r := bitstring.NewReader(msg)
 	size, err := r.ReadGamma()

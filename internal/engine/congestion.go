@@ -7,47 +7,40 @@ import (
 )
 
 // The engine half of the congestion axis (see core/congestion.go for the
-// model). WithMultiplicity(m) lands here: the validated entry points wrap
-// the scheme in a capScheme, whose Certs output satisfies the port-class
-// contract, so executors route and gather exactly as before. Executors
-// read the cap back through Multiplicity to meter the structural
-// distinct-message count (Stats.DistinctMessages) without inspecting
-// payloads.
+// model and the wire formats). WithMultiplicity(m) lands here: the
+// validated entry points wrap the scheme in a capScheme, and the lane loop
+// wraps every node it prepares for one in a capNode, so one wrapper
+// applies the cap around every scheme's own nodes. Executors read the cap
+// back through Multiplicity to meter the structural distinct-message
+// count (Stats.DistinctMessages) without inspecting payloads.
 
-// capScheme caps a randomized scheme's per-round message multiplicity. Its
-// label path transforms the certificate vector — natively via
-// core.CappedRPLS when the scheme degrades itself, by core.CapReplicate
-// otherwise — and delegates everything else. The executors prepare the
-// replication shape as the inner scheme's nodes plus a CapReplicate of
-// each node's strings, and the native shape as core.LabelNodes over this
-// label path: merged class messages are the one wire format no prepared
-// node reads. Deterministic schemes are never wrapped: they broadcast
+// capScheme caps a randomized scheme's per-round message multiplicity.
+// Its label path is a capNode around a core.LabelNode over the inner
+// scheme's, so the label path and the executors' nodes share one
+// implementation. Deterministic schemes are never wrapped: they broadcast
 // their label on every port already, satisfying every cap.
 type capScheme struct {
-	inner  Scheme
-	capped core.CappedRPLS // non-nil when the underlying RPLS degrades natively
-	m      int
+	inner Scheme
+	m     int
+	merge bool // core.CapMerge each class; core.CapReplicate otherwise
 }
 
 // withCap wraps s to respect multiplicity cap m. m <= 0 (uncapped) and
 // deterministic schemes return s unchanged, so the classic engine is the
-// degenerate point of the axis, bit for bit. The cap applies once per
-// trial to whole strings, before any sharding: a capped t-round scheme
-// replicates its class strings and the shard layout then splits them, so
-// every round of one port carries a shard of the same string. Native
-// degradation (core.CappedRPLS) stays single-round: a sharded scheme is
-// no FromRPLS adapter, so it takes the CapReplicate path.
+// degenerate point of the axis, bit for bit. The degradation follows from
+// the model. A one-sided scheme merges each class into one message whose
+// receiver checks every member: an extra check never rejects an honest
+// configuration of a one-sided scheme. A two-sided scheme replicates one
+// member per class, keeping one check per port, because each extra check
+// is one more chance to reject a legal configuration. Merging stays
+// single-round: the cap applies once per trial to whole strings, before
+// any sharding, so a capped t-round scheme replicates its strings and the
+// shard layout then splits them.
 func withCap(s Scheme, m int) Scheme {
 	if m <= 0 || s.Deterministic() {
 		return s
 	}
-	w := capScheme{inner: s, m: m}
-	if r, ok := AsRPLS(s); ok {
-		if cr, ok := r.(core.CappedRPLS); ok {
-			w.capped = cr
-		}
-	}
-	return w
+	return capScheme{inner: s, m: m, merge: s.OneSided() && Rounds(s) == 1}
 }
 
 // Multiplicity reports the message-multiplicity cap a scheme runs under:
@@ -65,22 +58,105 @@ func (w capScheme) Deterministic() bool                         { return false }
 func (w capScheme) OneSided() bool                              { return w.inner.OneSided() }
 
 func (w capScheme) Certs(view core.View, own core.Label, rng *prng.Rand) []core.Cert {
-	if w.capped != nil {
-		return w.capped.CapCerts(w.m, view, own, rng)
-	}
-	return core.CapReplicate(w.inner.Certs(view, own, rng), w.m)
+	out := [][]core.Cert{make([]core.Cert, view.Deg)}
+	w.labelNode(view, own).Certs([]*prng.Rand{rng}, out)
+	return out[0]
 }
 
-// Decide routes to the native CapDecide when the scheme degrades itself:
-// merged class messages are a different wire format than unicast
-// certificates, so the unicast Decide cannot read them. The CapReplicate
-// fallback keeps the unicast format (a replicated certificate is still a
-// well-formed certificate), so the inner Decide applies unchanged.
 func (w capScheme) Decide(view core.View, own core.Label, received []core.Cert) bool {
-	if w.capped != nil {
-		return w.capped.CapDecide(w.m, view, own, received)
+	return w.labelNode(view, own).Decide([][]core.Cert{received}) != 0
+}
+
+// labelNode is the cap around the inner scheme's label path at one node.
+func (w capScheme) labelNode(view core.View, own core.Label) *capNode {
+	n := w.node(&core.LabelNode{Path: w.inner, View: view, Own: own}, view.Deg)
+	return &n
+}
+
+// node wraps inner, the node of a view of degree deg, in the cap.
+func (w capScheme) node(inner core.Prepared, deg int) capNode {
+	return capNode{inner: inner, deg: deg, m: w.m, merge: w.merge}
+}
+
+// capNode applies a cap around one node: the inner node — the scheme's
+// own prepared node, or a core.LabelNode — sends and reads strings as if
+// uncapped, and the wrapper degrades what it sends and, under merging,
+// splits what it receives.
+type capNode struct {
+	inner  core.Prepared
+	deg, m int
+	merge  bool
+}
+
+// Certs implements core.Prepared: the inner node's strings, degraded lane
+// by lane.
+//
+//pls:hotpath
+func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert) {
+	n.inner.Certs(rngs, out)
+	for l := range rngs {
+		if n.merge {
+			core.CapMerge(out[l][:n.deg], n.m)
+		} else {
+			core.CapReplicate(out[l][:n.deg], n.m)
+		}
 	}
-	return w.inner.Decide(view, own, received)
+}
+
+// Decide implements core.Prepared. A replicated string is a well-formed
+// uncapped string, so the inner node decides replicated rounds as they
+// arrived. Under merging, each lane's class messages are split
+// (core.CapSplit) and the lane is answered by member windows: window j
+// carries member min(j, |members on port i| − 1) on port i, so every
+// member meets its port's check. A lane rejects if a message does not
+// split or has no members, or if any of its windows is rejected. The
+// inner node decides up to 64 windows, of any lanes, per call.
+func (n *capNode) Decide(recv [][]core.Cert) uint64 {
+	if !n.merge {
+		return n.inner.Decide(recv)
+	}
+	live := core.LaneMask(len(recv))
+	var wins, from [64]int // lane l's window count, and its first port in split
+	split := make([][]core.Cert, 0, len(recv)*n.deg)
+	total, width := 0, 0
+	for l, r := range recv {
+		from[l], wins[l] = len(split), 1 // a node without ports still decides once
+		for _, msg := range r {
+			members, err := core.CapSplit(msg)
+			if err != nil || len(members) == 0 {
+				live &^= 1 << uint(l)
+				wins[l] = 0
+				break
+			}
+			split = append(split, members)
+			wins[l] = max(wins[l], len(members))
+		}
+		total, width = total+wins[l], max(width, len(r))
+	}
+	slab := make([]core.Cert, min(total, 64)*width)
+	var windows [64][]core.Cert
+	var owner [64]int
+	k := 0
+	for l, r := range recv {
+		for j := range wins[l] {
+			w := slab[k*width : k*width+len(r)]
+			for i := range w {
+				members := split[from[l]+i]
+				w[i] = members[min(j, len(members)-1)]
+			}
+			windows[k], owner[k] = w, l
+			if k, total = k+1, total-1; k == 64 || total == 0 {
+				mask := n.inner.Decide(windows[:k])
+				for i, l := range owner[:k] {
+					if mask&(1<<uint(i)) == 0 {
+						live &^= 1 << uint(l)
+					}
+				}
+				k = 0
+			}
+		}
+	}
+	return live
 }
 
 // distinctCount is the structural distinct-message count of one node in

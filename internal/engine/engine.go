@@ -15,8 +15,9 @@
 // once per Round call for Run and Verify — and a node answers 1 to 64
 // trials ("lanes") per call. Compiled, uniform and boosted schemes bring
 // their own nodes; every other scheme shape (deterministic label
-// broadcast, coloring, natively capped rounds, test fixtures) is answered
-// by a core.LabelNode over its label path. The label path (Certs and
+// broadcast, coloring, test fixtures) is answered by a core.LabelNode over
+// its label path. Under a multiplicity cap the engine wraps each of those
+// nodes in its one cap node (see congestion.go). The label path (Certs and
 // Decide) stays the paper's model and the reference every node is tested
 // against. Both executors run the one lane loop over those nodes (see
 // kernel) and differ only in their widest batch:
@@ -66,11 +67,12 @@
 // Congestion: WithMultiplicity(m) caps how many distinct messages a node
 // may send per round (Patt-Shamir–Perry's broadcast ⇄ unicast axis; m=1
 // is broadcast, 0 leaves classic unicast). Ports are partitioned
-// round-robin into core.PortClass classes; schemes implementing
-// core.CappedRPLS merge their certificates natively (core.CapMerge wire
-// format) on their label path, others degrade through max-length
-// replication of each node's strings (core.CapReplicate), and
-// deterministic label broadcast satisfies every cap as is.
+// round-robin into core.PortClass classes, and one rule picks the
+// degradation: a one-sided single-round scheme merges each class into one
+// message (core.CapMerge wire format) whose receiver checks every member,
+// every other randomized scheme replicates each class's longest string
+// (core.CapReplicate), and deterministic label broadcast satisfies every
+// cap as is.
 // Stats.DistinctMessages / Summary.TotalDistinct meter the constrained
 // quantity under the same byte-identity guarantee as the other counters.
 // See DESIGN.md, "Congestion-bounded verification".

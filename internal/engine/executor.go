@@ -98,34 +98,32 @@ func (st *Stats) meterShards(b, t int) {
 // prepared is a scheme made ready for the lane loop on one configuration
 // and label assignment: one core.Prepared node per graph node, and what the
 // wrappers around the base scheme change in the loop. Sharding changes
-// only the metering, and replication only rewrites each node's strings, so
-// the nodes are those of the base scheme under both wrappers. A natively
-// capped scheme merges and splits class messages through
-// CappedRPLS.CapCerts/CapDecide, which no node implements: it is the one
-// shape whose nodes are LabelNodes over the capped scheme itself. Once
-// built, a prepared scheme is read-only; the estimator's workers share it.
+// only the metering, so the nodes are those of the base scheme; a cap
+// wraps each of them in a capNode. Once built, a prepared scheme is
+// read-only; the estimator's workers share it.
 type prepared struct {
-	nodes     []core.Prepared
-	adapters  []core.LabelNode // storage of the label-path nodes, reused across rounds
-	det       bool             // a deterministic round: one distinct message per node
-	coinFree  bool             // every trial is the same execution (IsCoinFree)
-	rounds    int              // each string is metered as the shards of this many rounds
-	mult      int              // the multiplicity cap; 0 is unconstrained
-	replicate bool             // each row is rewritten by core.CapReplicate under mult
+	nodes    []core.Prepared
+	adapters []core.LabelNode // storage of the label-path nodes, reused across rounds
+	capped   []capNode        // storage of the cap's node wrappers, reused across rounds
+	det      bool             // a deterministic round: one distinct message per node
+	coinFree bool             // every trial is the same execution (IsCoinFree)
+	rounds   int              // each string is metered as the shards of this many rounds
+	mult     int              // the multiplicity cap; 0 is unconstrained
 }
 
 // reset prepares s for the configuration and labels, reusing the
 // receiver's storage: a scheme with a core.Preparer behind its FromRPLS
-// adapter prepares its own nodes; every other scheme — deterministic,
-// natively capped, or adapted from neither core type — is answered by
-// core.LabelNodes, which allocate nothing here.
+// adapter prepares its own nodes; every other scheme — deterministic, or
+// adapted from neither core type — is answered by core.LabelNodes, which
+// allocate nothing here. Under a cap, each node is wrapped in the cap's
+// capNode.
 //
 //pls:hotpath
 func (p *prepared) reset(s Scheme, c *graph.Config, labels []core.Label) {
 	p.det, p.coinFree, p.rounds, p.mult = s.Deterministic(), IsCoinFree(s), Rounds(s), Multiplicity(s)
-	p.replicate = false
-	if w, ok := s.(capScheme); ok && w.capped == nil {
-		s, p.replicate = w.inner, true
+	cs, capped := s.(capScheme)
+	if capped {
+		s = cs.inner
 	}
 	if w, ok := s.(sharded); ok {
 		s = w.Scheme
@@ -139,28 +137,20 @@ func (p *prepared) reset(s Scheme, c *graph.Config, labels []core.Label) {
 	if pr == nil {
 		p.adapters = grow(p.adapters, n)
 	}
+	if capped {
+		p.capped = grow(p.capped, n)
+	}
 	for v := range p.nodes {
 		view := core.ViewOf(c, v)
 		if pr != nil {
 			p.nodes[v] = pr.Prepare(view, labels[v])
-			continue
+		} else {
+			p.adapters[v] = core.LabelNode{Path: s, View: view, Own: labels[v], Broadcast: s.Deterministic()}
+			p.nodes[v] = &p.adapters[v]
 		}
-		p.adapters[v] = core.LabelNode{Path: s, View: view, Own: labels[v], Broadcast: s.Deterministic()}
-		p.nodes[v] = &p.adapters[v]
-	}
-}
-
-// certs writes node v's strings for every lane into rows: the node's
-// certificates, replicated per port class when the cap degrades by
-// replication. The rewrite is byte for byte what capScheme.Certs does on
-// the label path.
-//
-//pls:hotpath
-func (p *prepared) certs(v int, rngs []*prng.Rand, rows [][]core.Cert) {
-	p.nodes[v].Certs(rngs, rows)
-	if p.replicate {
-		for _, row := range rows {
-			core.CapReplicate(row, p.mult)
+		if capped {
+			p.capped[v] = cs.node(p.nodes[v], view.Deg)
+			p.nodes[v] = &p.capped[v]
 		}
 	}
 }
@@ -311,7 +301,7 @@ func (k *kernel) run(p *prepared, c *graph.Config, labels []core.Label, firstSee
 			k.rngVals[l] = *k.rootVals[l].Fork(uint64(v))
 			rows[l] = k.plane[l*slots+base : l*slots+base+deg]
 		}
-		p.certs(v, rngs, rows)
+		p.nodes[v].Certs(rngs, rows)
 		distinct += distinctCount(p.det, p.mult, deg)
 	}
 

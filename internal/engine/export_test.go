@@ -20,10 +20,10 @@ func PrepareNodes(s Scheme, m int, c *graph.Config, labels []core.Label) (Scheme
 	return s, n
 }
 
-// Certs runs node v's send step, the cap's replication included, on the
+// Certs runs node v's send step, the cap's degradation included, on the
 // given lanes.
 func (n *PreparedNodes) Certs(v int, rngs []*prng.Rand, out [][]core.Cert) {
-	n.p.certs(v, rngs, out)
+	n.p.nodes[v].Certs(rngs, out)
 }
 
 // Decide runs node v's vote on the given lanes.

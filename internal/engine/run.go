@@ -79,11 +79,11 @@ func WithAssignments(k int) Option { return func(o *options) { o.assignments = k
 // WithMultiplicity caps the number of distinct messages a node may send
 // per verification round (the congestion axis of core/congestion.go):
 // m = 1 is the broadcast model, m >= deg is classic unicast, 0 (the
-// default) disables the cap entirely. Randomized schemes degrade via
-// core.CappedRPLS when they implement it and by payload replication
-// (core.CapReplicate) otherwise; deterministic schemes already broadcast
-// and are unaffected. Negative m is rejected by the validated entry
-// points.
+// default) disables the cap entirely. A one-sided single-round scheme
+// merges each port class into one message (core.CapMerge), any other
+// randomized scheme replicates one string per class (core.CapReplicate),
+// and deterministic schemes already broadcast and are unaffected.
+// Negative m is rejected by the validated entry points.
 func WithMultiplicity(m int) Option { return func(o *options) { o.multiplicity = m } }
 
 func buildOptions(opts []Option) options {

@@ -32,7 +32,7 @@ func E21Congestion(seed uint64, quick bool) (Table, error) {
 	schemes := []struct {
 		name    string
 		trials  int
-		merging bool // degrades by native payload merging (CappedRPLS)
+		merging bool // one-sided and single-round: the engine's cap merges it
 		build   func() engine.Scheme
 	}{
 		{"unif rand", 3, true, func() engine.Scheme { return engine.FromRPLS(uniform.NewRPLS()) }},
@@ -128,7 +128,7 @@ func E21Congestion(seed uint64, quick bool) (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"m=∞ rows are the unconstrained classic round (the unicast extreme); rows are in congestion-axis order, broadcast first.",
-		"unif rand and unif compiled implement core.CappedRPLS: a port class carries the γ-framed concatenation of its members' fingerprints, so bits fall like Σ class² as m grows. Both executors answer these capped rounds through the schemes' label path (CapCerts/CapDecide), the one scheme shape without a prepared node. unif det broadcasts its label on every port, which meets every cap, and stays flat.",
+		"unif rand and unif compiled are one-sided single-round schemes, so the engine merges their capped rounds: a port class carries the γ-framed concatenation of its members' fingerprints (core.CapMerge), so bits fall like Σ class² as m grows. Both executors run these rounds on the schemes' own prepared nodes inside the engine's cap node, which splits every class message and checks each member. unif det broadcasts its label on every port, which meets every cap, and stays flat.",
 		"Every row was computed 4 times (Sequential and Batched × parallelism 1 and 4) and the summaries compared for byte identity; the campaign form of this table is the multiplicity axis of BENCH_curves.json, whose smoke bound plscampaign assert checks in CI.")
 	return t, nil
 }

@@ -17,21 +17,29 @@ const maxTablePrime = 1 << 12
 // of direct Horner walks.
 const minTableBatch = 8
 
-// EvalCache memoizes the full value table of one polynomial over a small
+// EvalCache memoizes the full value tables of polynomials over a small
 // field. The uniform schemes fingerprint a single shared payload at
 // thousands of (node, port, trial) points drawn from a field of size O(λ);
 // once the number of evaluations passes p, tabulating A(x) for every
 // x ∈ GF(p) and looking points up is strictly cheaper than re-running
-// Horner per point. The cache holds one (polynomial, field) entry and
-// rebuilds on mismatch, so it belongs to schemes whose polynomial is
-// globally shared — per-node polynomials would thrash it.
+// Horner per point. The cache holds the two most recently used
+// (polynomial, field) entries and rebuilds the older one on a miss, so a
+// configuration with two payloads — an illegal instance of a shared
+// payload — keeps both tables while the node order crosses between them.
+// It belongs to schemes whose polynomials are globally shared: per-node
+// polynomials would thrash it.
 //
 // The table is a pure memo: lookups return exactly Poly.EvalMany's values,
 // so cached and direct evaluation are bit-identical. It is safe for
 // concurrent use by the estimator's trial workers.
 type EvalCache struct {
-	mu    sync.Mutex
-	s     bitstring.String // the cached polynomial's coefficients
+	mu      sync.Mutex
+	entries [2]evalEntry // most recently used first
+}
+
+// evalEntry is one cached polynomial's value table over GF(p).
+type evalEntry struct {
+	s     bitstring.String // the polynomial's coefficients
 	p     uint64
 	table []uint64
 }
@@ -51,18 +59,21 @@ func (c *EvalCache) EvalMany(s bitstring.String, p uint64, xs, out []uint64) {
 	}
 }
 
-// lookup returns the value table for (s, p), rebuilding the entry when the
-// cached polynomial differs. The entry is matched by content (String.Equal)
-// and holds its own copy of the coefficients, since a caller's string may
-// alias storage it reuses. A published table is immutable — rebuilds swap
-// in a fresh slice — so the lock guards only the pointer exchange and two
-// racing rebuilds merely duplicate work.
+// lookup returns the value table for (s, p), building it in place of the
+// least recently used entry when neither entry holds it. Entries are
+// matched by content (String.Equal) and hold their own copy of the
+// coefficients, since a caller's string may alias storage it reuses. A
+// published table is immutable — builds swap in a fresh slice — so the
+// lock guards only the entry exchange and two racing builds merely
+// duplicate work.
 func (c *EvalCache) lookup(s bitstring.String, p uint64) []uint64 {
 	c.mu.Lock()
-	if c.p == p && c.s.Equal(s) {
-		t := c.table
-		c.mu.Unlock()
-		return t
+	for i, e := range c.entries {
+		if e.p == p && e.s.Equal(s) {
+			c.entries[0], c.entries[i] = e, c.entries[0]
+			c.mu.Unlock()
+			return e.table
+		}
 	}
 	c.mu.Unlock()
 	xs := make([]uint64, p)
@@ -73,7 +84,7 @@ func (c *EvalCache) lookup(s bitstring.String, p uint64) []uint64 {
 	NewPoly(s, p).EvalMany(xs, t)
 	own := bitstring.Concat(s)
 	c.mu.Lock()
-	c.s, c.p, c.table = own, p, t
+	c.entries[1], c.entries[0] = c.entries[0], evalEntry{s: own, p: p, table: t}
 	c.mu.Unlock()
 	return t
 }

@@ -300,9 +300,10 @@ func TestEvalManyMatchesEval(t *testing.T) {
 }
 
 // TestEvalCacheMatchesEvalMany checks the cache against Poly.EvalMany for
-// batches on both sides of minTableBatch, with two payloads alternating so
-// that every tabled call rebuilds the entry, over a tabled field and one
-// just above maxTablePrime, where the cache must evaluate directly.
+// batches on both sides of minTableBatch, with two payloads alternating,
+// over a tabled field and one just above maxTablePrime, where the cache
+// must evaluate directly. Both payloads' tables stay held: each is built
+// once, at its first tabled call.
 func TestEvalCacheMatchesEvalMany(t *testing.T) {
 	rng := prng.New(18)
 	payload := func() bitstring.String {
@@ -313,8 +314,19 @@ func TestEvalCacheMatchesEvalMany(t *testing.T) {
 		return bitstring.FromBits(raw)
 	}
 	payloads := []bitstring.String{payload(), payload()}
+	// held returns the first cell of the table the cache holds for (s, p),
+	// nil when it holds none.
+	held := func(c *EvalCache, s bitstring.String, p uint64) *uint64 {
+		for _, e := range c.entries {
+			if e.p == p && e.s.Equal(s) {
+				return &e.table[0]
+			}
+		}
+		return nil
+	}
 	for _, p := range []uint64{PrimeForLength(256), NextPrime(maxTablePrime + 1)} {
 		var c EvalCache
+		built := make([]*uint64, len(payloads))
 		for round := 0; round < 3; round++ {
 			for k, s := range payloads {
 				for _, batch := range []int{1, 7, 8, 64} {
@@ -330,12 +342,25 @@ func TestEvalCacheMatchesEvalMany(t *testing.T) {
 							t.Fatalf("p=%d payload %d batch %d point %d: cache %d, EvalMany %d", p, k, batch, i, got[i], want[i])
 						}
 					}
-					tabled := p <= maxTablePrime && batch >= minTableBatch
-					if held := c.p == p && c.s.Equal(s); held != tabled {
-						t.Fatalf("p=%d payload %d batch %d: entry holds the payload = %v, want %v", p, k, batch, held, tabled)
+					table := held(&c, s, p)
+					switch {
+					case p > maxTablePrime:
+						if table != nil {
+							t.Fatalf("p=%d payload %d: an untabled field holds a table", p, k)
+						}
+					case batch < minTableBatch:
+					case table == nil:
+						t.Fatalf("p=%d payload %d batch %d: no table held after a tabled call", p, k, batch)
+					case built[k] == nil:
+						built[k] = table
+					case built[k] != table:
+						t.Fatalf("p=%d payload %d batch %d round %d: table rebuilt", p, k, batch, round)
 					}
 				}
 			}
+		}
+		if p <= maxTablePrime && (built[0] == nil || built[1] == nil) {
+			t.Fatalf("p=%d: a payload never built its table", p)
 		}
 	}
 }

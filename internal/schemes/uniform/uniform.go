@@ -150,40 +150,6 @@ func matchAll(certs []core.Cert, data bitstring.String, p uint64) bool {
 	return true
 }
 
-var _ core.CappedRPLS = randRPLS{}
-
-// CapCerts implements core.CappedRPLS by payload merging: the unicast
-// fingerprints — same coins, rng.Fork(port) each — are concatenated per
-// round-robin port class into one self-delimiting class message
-// (core.CapMerge). Broadcast (m=1) therefore ships all deg fingerprints on
-// every port, deg² · O(log k) bits in total, falling to deg framed
-// singletons at unicast: the verified-bits-vs-m curve E21 charts.
-func (r randRPLS) CapCerts(m int, view core.View, own core.Label, rng *prng.Rand) []core.Cert {
-	return core.CapMerge(r.Certs(view, own, rng), m)
-}
-
-// CapDecide checks every member fingerprint of every received class
-// message against the node's own payload. A class message from the
-// neighbor on port i bundles fingerprints the neighbor minted for all
-// ports of one of its classes — each one fingerprints the neighbor's own
-// payload, so under the Unif predicate all of them must match here.
-// Checking the whole bundle keeps the scheme one-sided (equal payloads
-// always match) and at least as sound as unicast (the reverse edge's own
-// fingerprint is among the members).
-func (r randRPLS) CapDecide(_ int, view core.View, _ core.Label, received []core.Cert) bool {
-	data := bitstring.FromBytes(view.State.Data)
-	if len(received) != view.Deg {
-		return false
-	}
-	for _, msg := range received {
-		members, err := core.CapSplit(msg)
-		if err != nil || len(members) == 0 || !matchAll(members, data, r.prime(data.Len())) {
-			return false // the reverse edge's fingerprint must be present
-		}
-	}
-	return true
-}
-
 var _ core.Preparer = randRPLS{}
 
 // Prepare implements core.Preparer: the payload string and the layout of
