@@ -137,87 +137,12 @@ func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert) {
 	}
 }
 
-// Decide implements Prepared: the framed repetitions of every lane are
-// unpacked in lockstep and each rep is judged by one inner Decide call. A
-// lane that fails to parse votes false; under the one-sided conjunction
-// rule a single inner rejection also pins the lane's vote to false
-// (parsing continues for the other lanes, which cannot change the
-// outcome — the label path would simply have stopped earlier).
+// Decide implements Prepared: DecideWindows reads exactly t framed
+// repetitions per port and answers repetition j of every port as one
+// window of the inner node — conjunction for a one-sided inner scheme,
+// strict majority otherwise.
 func (n *boostNode) Decide(recv [][]Cert) uint64 {
-	lanes, deg := len(recv), n.deg
-	live := LaneMask(lanes) // lanes whose framing has parsed cleanly so far
-	// Flat value readers and one sub-certificate slab: a rep's unframed
-	// certificate for (lane, port) lands in a fixed window of slab — its
-	// size bounds any single rep's share — and is consumed by the inner
-	// Decide before the next rep overwrites it.
-	readers := make([]bitstring.Reader, lanes*deg)
-	roundFlat := make([]Cert, lanes*deg)
-	round := make([][]Cert, lanes)
-	offs := make([]int, lanes*deg+1)
-	for l := 0; l < lanes; l++ {
-		round[l] = roundFlat[l*deg : (l+1)*deg]
-		if len(recv[l]) != deg {
-			live &^= 1 << uint(l)
-			for i := 0; i < deg; i++ {
-				offs[l*deg+i+1] = offs[l*deg+i]
-			}
-			continue
-		}
-		for i, c := range recv[l] {
-			readers[l*deg+i].Reset(c)
-			offs[l*deg+i+1] = offs[l*deg+i] + (c.Len()+7)/8
-		}
-	}
-	slab := make([]byte, offs[lanes*deg])
-	var rejected uint64
-	accepts := make([]int, lanes)
-	for rep := 0; rep < n.t && live != 0; rep++ {
-		for l := 0; l < lanes; l++ {
-			if live&(1<<uint(l)) == 0 {
-				continue
-			}
-			for i := 0; i < deg; i++ {
-				k := l*deg + i
-				sub, err := readers[k].ReadGamma()
-				if err == nil && sub <= 1<<30 {
-					round[l][i], err = readers[k].ReadStringInto(int(sub), slab[offs[k]:offs[k]:offs[k+1]])
-				}
-				if err != nil || sub > 1<<30 {
-					live &^= 1 << uint(l)
-					clear(round[l])
-					break
-				}
-			}
-		}
-		mask := n.inner.Decide(round)
-		for l := 0; l < lanes; l++ {
-			if live&(1<<uint(l)) == 0 {
-				continue
-			}
-			if mask&(1<<uint(l)) != 0 {
-				accepts[l]++
-			} else if n.oneSided {
-				rejected |= 1 << uint(l)
-			}
-		}
-	}
-	var votes uint64
-	for l := 0; l < lanes; l++ {
-		if live&(1<<uint(l)) == 0 || rejected&(1<<uint(l)) != 0 {
-			continue
-		}
-		clean := true
-		for i := 0; i < deg; i++ {
-			if readers[l*deg+i].Remaining() != 0 {
-				clean = false
-				break
-			}
-		}
-		if clean && (n.oneSided || 2*accepts[l] > n.t) {
-			votes |= 1 << uint(l)
-		}
-	}
-	return votes
+	return DecideWindows(n.inner, recv, n.deg, n.t, !n.oneSided)
 }
 
 func (b *boosted) Decide(view View, own Label, received []Cert) bool {

@@ -153,100 +153,22 @@ func (c *compiled) Decide(view View, own Label, received []Cert) bool {
 	return c.inner.Verify(view, self, replicas)
 }
 
-// compiledNode is one node's prepared compiled label: the self sub-label
-// and the layout of its certificates, one replica per port with the
-// layout of the certificates that must match it, the split error of a
-// malformed label, and the inner verifier's vote on the replicas.
-type compiledNode struct {
-	deg      int
-	self     Label
-	layout   FingerprintLayout
-	replicas []Label
-	layouts  []FingerprintLayout // set only when the vote accepts
-	err      error
-	vote     bool
-}
-
 var _ Preparer = (*compiled)(nil)
 
-// Prepare implements Preparer: the label is split, the certificate
-// layouts fixed, and the inner verifier run once. The inner vote may be
-// hoisted out of the trials because it sees only the self sub-label and
-// the replicas, never a coin. Every received fingerprint is still checked
-// per trial. readSub bounds every sub-label by 2³⁰ bits, so each layout
-// meets NewFingerprintLayout's precondition.
+// Prepare implements Preparer: the label is split and the inner verifier
+// run once, and an EqualityNode sends the self sub-label's fingerprints
+// and checks every port's against that neighbor's replica. The inner vote
+// may be hoisted out of the trials because it sees only the self sub-label
+// and the replicas, never a coin; every received fingerprint is still
+// checked per trial. A label that does not split sends empty certificates
+// and rejects. readSub bounds every sub-label by 2³⁰ bits, so each layout
+// meets NewFingerprintLayout's precondition. There is no cache: the
+// sub-labels differ per node, so a shared memo would thrash.
 func (c *compiled) Prepare(view View, own Label) Prepared {
 	self, replicas, err := c.splitLabel(own, view.Deg)
-	n := &compiledNode{deg: view.Deg, self: self, replicas: replicas, err: err}
 	if err != nil {
-		return n
+		return &EqualityNode{deg: view.Deg}
 	}
-	n.layout = NewFingerprintLayout(self.Len(), field.PrimeForLength(self.Len()))
-	n.vote = c.inner.Verify(view, self, replicas)
-	if n.vote {
-		n.layouts = make([]FingerprintLayout, len(replicas))
-		for i, rep := range replicas {
-			n.layouts[i] = NewFingerprintLayout(rep.Len(), field.PrimeForLength(rep.Len()))
-		}
-	}
-	return n
-}
-
-// Certs implements Prepared: FingerprintLanes evaluates the self
-// sub-label's polynomial at all lanes × ports points in one EvalMany
-// call, with no cache — the sub-label differs per node, so a shared
-// one-entry memo would thrash.
-func (n *compiledNode) Certs(rngs []*prng.Rand, out [][]Cert) {
-	if n.err != nil {
-		for l := range rngs {
-			clear(out[l][:n.deg])
-		}
-		return
-	}
-	FingerprintLanes(n.self, n.layout, rngs, n.deg, nil, out)
-}
-
-// Decide implements Prepared. Per port, each lane's certificate is parsed
-// on its own by the replica's layout (lanes fail independently under
-// adversarial input), and the replica's polynomial is evaluated at all
-// surviving lanes' points in one EvalMany call. A malformed label or a
-// rejecting inner vote rejects in every lane.
-func (n *compiledNode) Decide(recv [][]Cert) uint64 {
-	if n.err != nil || !n.vote {
-		return 0
-	}
-	lanes := len(recv)
-	live := LaneMask(lanes)
-	for l, r := range recv {
-		if len(r) != n.deg {
-			live &^= 1 << uint(l)
-		}
-	}
-	buf := make([]uint64, 3*lanes)
-	xs, ys, got := buf[:lanes], buf[lanes:2*lanes], buf[2*lanes:]
-	for i, rep := range n.replicas {
-		if live == 0 {
-			break
-		}
-		lay := n.layouts[i]
-		for l := range recv {
-			xs[l], ys[l] = 0, 0
-			if live&(1<<uint(l)) == 0 {
-				continue
-			}
-			x, y, ok := lay.Decode(recv[l][i])
-			if !ok {
-				live &^= 1 << uint(l)
-				continue
-			}
-			xs[l], ys[l] = x, y
-		}
-		field.NewPoly(rep, lay.P()).EvalMany(xs, got)
-		for l := range recv {
-			if got[l] != ys[l] {
-				live &^= 1 << uint(l)
-			}
-		}
-	}
-	return live
+	vote := c.inner.Verify(view, self, replicas)
+	return NewEqualityNode(view.Deg, self, vote, replicas, field.PrimeForLength, nil)
 }

@@ -77,29 +77,13 @@ func CapMerge(certs []Cert, m int) []Cert {
 // framing; the receiver rejects such a message.
 func CapSplit(msg Cert) ([]Cert, error) {
 	r := bitstring.NewReader(msg)
-	size, err := r.ReadGamma()
+	size, err := readCount(r, 0)
 	if err != nil {
-		return nil, fmt.Errorf("class size: %w", err)
-	}
-	if size > uint64(r.Remaining()) {
-		// Every member costs at least its one-bit gamma length, so a size
-		// the rest of the message cannot hold is rejected before the
-		// member slice is allocated.
-		return nil, fmt.Errorf("class size %d exceeds the %d bits left", size, r.Remaining())
+		return nil, err
 	}
 	out := make([]Cert, size)
-	for j := range out {
-		n, err := r.ReadGamma()
-		if err != nil {
-			return nil, fmt.Errorf("member %d length: %w", j, err)
-		}
-		if n > 1<<30 {
-			return nil, fmt.Errorf("implausible member %d length %d", j, n)
-		}
-		out[j], err = r.ReadString(int(n))
-		if err != nil {
-			return nil, fmt.Errorf("member %d payload: %w", j, err)
-		}
+	if _, err := readMembers(r, out, nil); err != nil {
+		return nil, err
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("trailing bits after %d members", size)

@@ -186,9 +186,6 @@ func NewFingerprintLayout(n int, p uint64) FingerprintLayout {
 // Bits returns L, the length of every certificate in the layout.
 func (f FingerprintLayout) Bits() int { return int(f.bits) }
 
-// P returns the field modulus p.
-func (f FingerprintLayout) P() uint64 { return f.p }
-
 // Encode returns the certificate gamma(n) ‖ x ‖ y, stored in buf, which
 // must hold (L+7)/8 bytes; the result aliases buf. x and y must be < p.
 // The certificate is bit for bit the one FingerprintCert frames for the
@@ -232,35 +229,4 @@ func take(hi, lo uint64, off, w uint) uint64 {
 		v = lo << (off - 64)
 	}
 	return v >> (64 - w)
-}
-
-// FingerprintLanes writes FingerprintCert(s, p, rngs[l].Fork(i)) for every
-// (lane, port) pair, where p = lay.P() and lay is s's layout. It evaluates
-// the polynomial at all points in one EvalMany call (through cache when
-// the scheme provides one; nil evaluates directly) and encodes each
-// certificate with lay's word encoder. It is the certificate writer of the
-// prepared compiled and uniform nodes.
-//
-// All certificates of a call have the same L bits, so they are stored in
-// one shared slab: two allocations per call — evaluation points and slab —
-// instead of two per certificate.
-func FingerprintLanes(s bitstring.String, lay FingerprintLayout, rngs []*prng.Rand, deg int, cache *field.EvalCache, out [][]Cert) {
-	lanes := len(rngs)
-	buf := make([]uint64, 2*lanes*deg)
-	xs, ys := buf[:lanes*deg], buf[lanes*deg:]
-	for l, rng := range rngs {
-		row := xs[l*deg : (l+1)*deg]
-		for i := 0; i < deg; i++ {
-			row[i] = rng.Fork(uint64(i)).Uint64n(lay.p)
-		}
-	}
-	cache.EvalMany(s, lay.p, xs, ys)
-	size := (lay.Bits() + 7) / 8
-	slab := make([]byte, lanes*deg*size)
-	for l := 0; l < lanes; l++ {
-		for i := 0; i < deg; i++ {
-			k := l*deg + i
-			out[l][i] = lay.Encode(xs[k], ys[k], slab[k*size:(k+1)*size])
-		}
-	}
 }

@@ -105,58 +105,16 @@ func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert) {
 
 // Decide implements core.Prepared. A replicated string is a well-formed
 // uncapped string, so the inner node decides replicated rounds as they
-// arrived. Under merging, each lane's class messages are split
-// (core.CapSplit) and the lane is answered by member windows: window j
-// carries member min(j, |members on port i| − 1) on port i, so every
-// member meets its port's check. A lane rejects if a message does not
-// split or has no members, or if any of its windows is rejected. The
-// inner node decides up to 64 windows, of any lanes, per call.
+// arrived. A merged round is answered by core.DecideWindows: each class
+// message is read as its CapMerge member list (count 0: the list's leading
+// gamma code gives its size), window j carries member
+// min(j, |members on port i| − 1) on port i, so every member meets its
+// port's check, and a lane accepts when every window does.
 func (n *capNode) Decide(recv [][]core.Cert) uint64 {
 	if !n.merge {
 		return n.inner.Decide(recv)
 	}
-	live := core.LaneMask(len(recv))
-	var wins, from [64]int // lane l's window count, and its first port in split
-	split := make([][]core.Cert, 0, len(recv)*n.deg)
-	total, width := 0, 0
-	for l, r := range recv {
-		from[l], wins[l] = len(split), 1 // a node without ports still decides once
-		for _, msg := range r {
-			members, err := core.CapSplit(msg)
-			if err != nil || len(members) == 0 {
-				live &^= 1 << uint(l)
-				wins[l] = 0
-				break
-			}
-			split = append(split, members)
-			wins[l] = max(wins[l], len(members))
-		}
-		total, width = total+wins[l], max(width, len(r))
-	}
-	slab := make([]core.Cert, min(total, 64)*width)
-	var windows [64][]core.Cert
-	var owner [64]int
-	k := 0
-	for l, r := range recv {
-		for j := range wins[l] {
-			w := slab[k*width : k*width+len(r)]
-			for i := range w {
-				members := split[from[l]+i]
-				w[i] = members[min(j, len(members)-1)]
-			}
-			windows[k], owner[k] = w, l
-			if k, total = k+1, total-1; k == 64 || total == 0 {
-				mask := n.inner.Decide(windows[:k])
-				for i, l := range owner[:k] {
-					if mask&(1<<uint(i)) == 0 {
-						live &^= 1 << uint(l)
-					}
-				}
-				k = 0
-			}
-		}
-	}
-	return live
+	return core.DecideWindows(n.inner, recv, n.deg, 0, false)
 }
 
 // distinctCount is the structural distinct-message count of one node in

@@ -152,62 +152,12 @@ func matchAll(certs []core.Cert, data bitstring.String, p uint64) bool {
 
 var _ core.Preparer = randRPLS{}
 
-// Prepare implements core.Preparer: the payload string and the layout of
-// its certificates are prepared once per node. The payload must be at
-// most 2³⁰ bits (core.NewFingerprintLayout's precondition).
+// Prepare implements core.Preparer: the node fingerprints the payload on
+// every port and expects it on every port, through the scheme's cache, so
+// every (lane, port) point of a call is evaluated in one EvalMany. The
+// payload must be at most 2³⁰ bits (core.NewFingerprintLayout's
+// precondition).
 func (r randRPLS) Prepare(view core.View, _ core.Label) core.Prepared {
 	data := bitstring.FromBytes(view.State.Data)
-	layout := core.NewFingerprintLayout(data.Len(), r.prime(data.Len()))
-	return &node{deg: view.Deg, data: data, layout: layout, cache: r.cache}
-}
-
-// node is a prepared node of the direct scheme. The payload polynomial is
-// shared by every lane and port, so each call hands all lanes × ports
-// points to one EvalCache call — a table lookup once the batch is wide
-// enough. Sent and received certificates share the payload's layout.
-type node struct {
-	deg    int
-	data   bitstring.String
-	layout core.FingerprintLayout
-	cache  *field.EvalCache
-}
-
-func (n *node) Certs(rngs []*prng.Rand, out [][]core.Cert) {
-	core.FingerprintLanes(n.data, n.layout, rngs, n.deg, n.cache, out)
-}
-
-// Decide parses certificates per lane (lanes fail independently), then
-// checks every surviving fingerprint in a single batched evaluation.
-func (n *node) Decide(recv [][]core.Cert) uint64 {
-	lanes := len(recv)
-	live := core.LaneMask(lanes)
-	slots := lanes * n.deg
-	buf := make([]uint64, 3*slots)
-	xs := buf[:0:slots]
-	ys := buf[slots : slots : 2*slots]
-	owner := make([]int, 0, slots)
-	for l, r := range recv {
-		if len(r) != n.deg {
-			live &^= 1 << uint(l)
-			continue
-		}
-		for _, cert := range r {
-			x, y, ok := n.layout.Decode(cert)
-			if !ok {
-				live &^= 1 << uint(l)
-				break
-			}
-			xs = append(xs, x)
-			ys = append(ys, y)
-			owner = append(owner, l)
-		}
-	}
-	got := buf[2*slots : 2*slots+len(xs)]
-	n.cache.EvalMany(n.data, n.layout.P(), xs, got)
-	for k, l := range owner {
-		if got[k] != ys[k] {
-			live &^= 1 << uint(l)
-		}
-	}
-	return live
+	return core.NewEqualityNode(view.Deg, data, true, []bitstring.String{data}, r.prime, r.cache)
 }
