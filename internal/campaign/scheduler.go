@@ -282,7 +282,7 @@ func RunCell(c Cell) Record {
 	}
 
 	opts := []engine.Option{engine.WithSeed(c.Seed), engine.WithExecutor(exec)}
-	if engine.IsCoinFree(s) {
+	if s.Deterministic() {
 		// A coin-free execution is the same every trial: one trial measures
 		// it exactly, and there is no interval to stop early on.
 		opts = append(opts, engine.WithTrials(1))

@@ -280,7 +280,7 @@ func oneWorker(exec Executor, s Scheme, p *prepared, c *graph.Config, labels []c
 // port, so its verification complexity is the largest label transmitted
 // (one round suffices: the round is coin-free).
 func MaxCertBits(s Scheme, c *graph.Config, labels []core.Label, trials int, seed uint64) int {
-	if IsCoinFree(s) {
+	if s.Deterministic() {
 		trials = 1 // a coin-free execution is identical every trial
 	}
 	o := buildOptions([]Option{WithSeed(seed), WithTrials(trials)})

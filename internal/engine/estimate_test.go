@@ -110,7 +110,7 @@ func TestEstimateParallelDeterminism(t *testing.T) {
 
 	for _, sc := range schemes {
 		for optName, extra := range extraOpts {
-			if optName == "maxse" && engine.IsCoinFree(sc.s) {
+			if optName == "maxse" && sc.s.Deterministic() {
 				// The validated options layer rejects early stopping on a
 				// coin-free scheme (every trial is the same execution);
 				// TestOptionValidation pins the typed error.

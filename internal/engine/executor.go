@@ -105,8 +105,7 @@ type prepared struct {
 	nodes    []core.Prepared
 	adapters []core.LabelNode // storage of the label-path nodes, reused across rounds
 	capped   []capNode        // storage of the cap's node wrappers, reused across rounds
-	det      bool             // a deterministic round: one distinct message per node
-	coinFree bool             // every trial is the same execution (IsCoinFree)
+	det      bool             // a deterministic round: coin-free, one distinct message per node
 	rounds   int              // each string is metered as the shards of this many rounds
 	mult     int              // the multiplicity cap; 0 is unconstrained
 }
@@ -120,7 +119,7 @@ type prepared struct {
 //
 //pls:hotpath
 func (p *prepared) reset(s Scheme, c *graph.Config, labels []core.Label) {
-	p.det, p.coinFree, p.rounds, p.mult = s.Deterministic(), IsCoinFree(s), Rounds(s), Multiplicity(s)
+	p.det, p.rounds, p.mult = s.Deterministic(), Rounds(s), Multiplicity(s)
 	cs, capped := s.(capScheme)
 	if capped {
 		s = cs.inner
@@ -217,14 +216,14 @@ func (k *kernel) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint
 }
 
 // trials executes trials [lo, hi) at seeds seed+lo … seed+hi−1 and writes
-// outcome t to out[t-lo]. A coin-free scheme runs once and is replicated;
-// any other runs in batches of up to width lanes, narrowed by the plane
-// budget.
+// outcome t to out[t-lo]. A deterministic scheme runs once and is
+// replicated; any other runs in batches of up to width lanes, narrowed by
+// the plane budget.
 //
 //pls:hotpath
 func (k *kernel) trials(p *prepared, width int, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
-	if p.coinFree {
-		// Every trial of a coin-free scheme is the same execution.
+	if p.det {
+		// Every trial of a deterministic scheme is the same execution.
 		obsBatchCoinFree.Inc()
 		k.run(p, c, labels, seed+uint64(lo), 1, false)
 		o := trialOutcome{accepted: k.accept != 0, st: k.stats[0]}

@@ -20,17 +20,15 @@ import "fmt"
 // enforces that both executors agree with it.
 
 // sharded runs its base scheme over rounds > 1 rounds. Labels, coins,
-// strings, decisions and one-sidedness are the base scheme's; only the
-// round count — and with it the metering — changes. A deterministic base
-// reports Deterministic() == false so the kernel drives its Certs, which
-// for a FromPLS adapter is the label on every port.
+// strings, decisions, determinism and one-sidedness are the base scheme's;
+// only the round count — and with it the metering — changes. A sharded
+// deterministic scheme still broadcasts its label, one shard per round.
 type sharded struct {
 	Scheme
 	rounds int
 }
 
-func (s sharded) Name() string        { return fmt.Sprintf("%s+shard%d", s.Scheme.Name(), s.rounds) }
-func (s sharded) Deterministic() bool { return false }
+func (s sharded) Name() string { return fmt.Sprintf("%s+shard%d", s.Scheme.Name(), s.rounds) }
 
 // Shard wraps a registered scheme into its t-round sharded form (the
 // constructive direction of the κ/t tradeoff): per port and per round it
@@ -65,16 +63,4 @@ func Rounds(s Scheme) int {
 		return w.rounds
 	}
 	return 1
-}
-
-// IsCoinFree reports whether the scheme's execution draws no coins, so a
-// single trial measures it exactly: deterministic schemes, and uncapped
-// sharded deterministic schemes. Drivers use it to collapse the trial
-// budget the way they already do for Deterministic schemes.
-func IsCoinFree(s Scheme) bool {
-	if s.Deterministic() {
-		return true
-	}
-	w, ok := s.(sharded)
-	return ok && w.Scheme.Deterministic()
 }

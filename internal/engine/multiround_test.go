@@ -207,10 +207,10 @@ func TestShardEdgeCases(t *testing.T) {
 	}
 }
 
-// TestIsCoinFree pins the trial-collapse rule: deterministic schemes and
-// sharded deterministic schemes are coin-free; randomized schemes, sharded
+// TestShardKeepsDeterministic pins the trial-collapse rule: deterministic
+// schemes are deterministic sharded or not, and randomized schemes, sharded
 // or not, are not.
-func TestIsCoinFree(t *testing.T) {
+func TestShardKeepsDeterministic(t *testing.T) {
 	det := engine.FromPLS(spanningtree.NewPLS())
 	rand := engine.FromRPLS(uniform.NewRPLS())
 	shardedDet, err := engine.Shard(det, 4)
@@ -231,8 +231,33 @@ func TestIsCoinFree(t *testing.T) {
 		{"sharded-det", shardedDet, true},
 		{"sharded-rand", shardedRand, false},
 	} {
-		if got := engine.IsCoinFree(tc.s); got != tc.want {
-			t.Errorf("IsCoinFree(%s) = %v, want %v", tc.name, got, tc.want)
+		if got := tc.s.Deterministic(); got != tc.want {
+			t.Errorf("%s: Deterministic() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestShardedDetDistinctMessages pins the structural distinct-message
+// count of a sharded deterministic scheme: it broadcasts its label, one
+// shard per round, so every node mints one distinct message per round at
+// every cap — n·t on a configuration without isolated nodes. Every
+// registered deterministic variant runs at t ∈ {2, 4} and m ∈ {0, 1, 2}.
+func TestShardedDetDistinctMessages(t *testing.T) {
+	for _, tc := range nodeCases(t) {
+		if !tc.s.Deterministic() {
+			continue
+		}
+		for _, rounds := range []int{2, 4} {
+			s, err := engine.Shard(tc.s, rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []int{0, 1, 2} {
+				res := engine.Verify(s, tc.cfg, tc.labels, engine.WithMultiplicity(m))
+				if want := int64(tc.cfg.G.N() * rounds); res.Stats.DistinctMessages != want {
+					t.Errorf("%s t=%d m=%d: DistinctMessages = %d, want n·t = %d", tc.name, rounds, m, res.Stats.DistinctMessages, want)
+				}
+			}
 		}
 	}
 }
@@ -304,9 +329,9 @@ func TestShardedPLSReassemblesLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sharded.OneSided() || engine.Rounds(sharded) != rounds || !engine.IsCoinFree(sharded) {
-		t.Fatalf("sharded deterministic scheme: one-sided=%v rounds=%d coin-free=%v",
-			sharded.OneSided(), engine.Rounds(sharded), engine.IsCoinFree(sharded))
+	if !sharded.OneSided() || engine.Rounds(sharded) != rounds || !sharded.Deterministic() {
+		t.Fatalf("sharded deterministic scheme: one-sided=%v rounds=%d deterministic=%v",
+			sharded.OneSided(), engine.Rounds(sharded), sharded.Deterministic())
 	}
 	votes, _ := newOracle().Round(sharded, cfg, labels, 1)
 	for v := 0; v < cfg.G.N(); v++ {

@@ -56,7 +56,7 @@ func buildValidated(s Scheme, opts []Option) (options, error) {
 		return o, optionErr("WithMultiplicity", "negative multiplicity cap %d (use 0 for unconstrained)", o.multiplicity)
 	}
 	if s != nil {
-		if o.maxSE > 0 && IsCoinFree(s) {
+		if o.maxSE > 0 && s.Deterministic() {
 			return o, optionErr("WithMaxSE",
 				"scheme %s is coin-free: every trial is the same execution — collapse the budget to one trial instead of early-stopping", s.Name())
 		}

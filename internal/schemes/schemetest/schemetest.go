@@ -215,7 +215,7 @@ type BatterySpec struct {
 func (h *Harness) Battery(t *testing.T, s engine.Scheme, legal, illegal *graph.Config, spec BatterySpec) {
 	t.Helper()
 	trials := spec.Trials
-	if engine.IsCoinFree(s) {
+	if s.Deterministic() {
 		trials = 1 // every trial of a coin-free execution is identical
 	}
 
@@ -262,7 +262,7 @@ func (h *Harness) Battery(t *testing.T, s engine.Scheme, legal, illegal *graph.C
 	}
 	for _, r := range results {
 		budget := spec.MaxAccepted
-		if engine.IsCoinFree(s) {
+		if s.Deterministic() {
 			budget = 0
 		}
 		if r.Worst.Accepted > budget {
