@@ -299,8 +299,9 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 // are already done (a reclaimed lease's original owner racing its
 // replacement, or a replayed report) are counted and dropped; everything
 // else flows through the Sink, which writes in plan order. A record's line
-// must be in the compact form MarshalRecord writes: the Sink writes it
-// verbatim as one line of results.jsonl.
+// must be a campaign.Record of the reported cell and status, in exactly
+// the form MarshalRecord writes: the Sink writes it verbatim as one line
+// of results.jsonl, which ReadRecords must read back.
 func (c *Coordinator) accept(req ReportRequest) (ReportResponse, error) {
 	now := obs.Clock()
 	c.mu.Lock()
@@ -313,9 +314,13 @@ func (c *Coordinator) accept(req ReportRequest) (ReportResponse, error) {
 		if id := c.prep.Todo[rec.Index].ID(); id != rec.Cell {
 			return ReportResponse{}, fmt.Errorf("fabric: record %d names cell %q, plan has %q", rec.Index, rec.Cell, id)
 		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, rec.Line); err != nil || !bytes.Equal(compact.Bytes(), rec.Line) {
-			return ReportResponse{}, fmt.Errorf("fabric: record %d line is not one compact JSON value", rec.Index)
+		var line campaign.Record
+		if err := json.Unmarshal(rec.Line, &line); err != nil || !bytes.Equal(campaign.MarshalRecord(line), rec.Line) {
+			return ReportResponse{}, fmt.Errorf("fabric: record %d line is not a record in MarshalRecord's form", rec.Index)
+		}
+		if line.Cell != rec.Cell || line.Status != rec.Status {
+			return ReportResponse{}, fmt.Errorf("fabric: record %d line is cell %q with status %q, the report says %q with %q",
+				rec.Index, line.Cell, line.Status, rec.Cell, rec.Status)
 		}
 		if c.state[rec.Index] == cellDone {
 			obsDuplicates.Inc()

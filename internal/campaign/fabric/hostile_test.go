@@ -187,6 +187,38 @@ func TestReportRejectsMultiLineRecord(t *testing.T) {
 	compareDirs(t, solo, dir)
 }
 
+// A record line must be a record of the reported cell. The Sink writes
+// lines verbatim, so a line such as 123 or {} used to be written, after
+// which Finish, ReadRecords and any later run failed to parse the file.
+func TestReportRejectsNonRecordLine(t *testing.T) {
+	spec := fabricSpec()
+	solo := filepath.Join(t.TempDir(), "solo")
+	soloRun(t, solo, spec)
+	recs := honestRecords(t, spec)
+
+	dir := filepath.Join(t.TempDir(), "fabric")
+	c, err := NewCoordinator(dir, spec, Options{LeaseSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Finish()
+	lr := leaseOn(t, c.Handler(), "w")
+	own := recs[lr.Lease.Start]
+	other := recs[(lr.Lease.Start+1)%len(recs)].Line
+	for _, line := range []string{`123`, `{}`, string(other)} {
+		bad := own
+		bad.Line = json.RawMessage(line)
+		if rr := serve(c.Handler(), PathReport, reportBody("w", lr.Lease.ID, []ReportRecord{bad})); rr.Code != http.StatusBadRequest {
+			t.Fatalf("line %.40s for cell %d answered %d, want 400", line, lr.Lease.Start, rr.Code)
+		}
+	}
+	drive(t, c, lr.Lease, recs, func(int) int { return 1 })
+	if _, err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	compareDirs(t, solo, dir)
+}
+
 // A body over the 1 MiB limit is answered 400 on every endpoint, like any
 // other bad body, and changes nothing.
 func TestOversizedBodyRejected(t *testing.T) {
@@ -321,9 +353,10 @@ func fuzzCalls(t *testing.T, h http.Handler, recs []ReportRecord, ops []byte) (h
 // handlers with a fuzzer-chosen sequence of lease, heartbeat and report
 // calls (see fuzzCalls), then lets one honest Worker finish the campaign.
 // The oracle: no handler panics; a body that does not decode is answered
-// 400; the honest worker finishes, so no cell is left stranded; and when
-// every record line sent was honest, results.jsonl equals the
-// single-process run's.
+// 400; the honest worker finishes, so no cell is left stranded; the
+// coordinator then finishes, so every line it wrote reads back as a
+// record; and when every record line sent was honest, results.jsonl
+// equals the single-process run's.
 func FuzzCoordinator(f *testing.F) {
 	spec := fabricSpec()
 	recs := honestRecords(f, spec)
@@ -347,6 +380,13 @@ func FuzzCoordinator(f *testing.F) {
 	// A truncated report body.
 	truncated := []byte(`{"worker":"f0","lease":1,"records":[{"index":0,"ce`)
 	f.Add(append([]byte{opLease, 0, opRaw, 2, byte(len(truncated))}, truncated...))
+	// A lease; cell 0 reported with the line 123, which is no record.
+	nonRecord := fmt.Appendf(nil, `{"worker":"f0","lease":1,"records":[{"index":0,"cell":%s,"status":%s,"line":123}]}`,
+		jsonString(recs[0].Cell), jsonString(recs[0].Status))
+	if len(nonRecord) > 255 {
+		f.Fatalf("the non-record seed's body is %d bytes; opRaw sends at most 255", len(nonRecord))
+	}
+	f.Add(append([]byte{opLease, 0, opRaw, 2, byte(len(nonRecord))}, nonRecord...))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		dir := t.TempDir()
@@ -364,11 +404,11 @@ func FuzzCoordinator(f *testing.F) {
 		if err := (&Worker{Coordinator: srv.URL, Name: "honest"}).Run(ctx); err != nil {
 			t.Fatalf("honest worker: %v at %d of %d cells written", err, c.Status().Written, len(recs))
 		}
+		if _, err := c.Finish(); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
 		if !honest {
 			return
-		}
-		if _, err := c.Finish(); err != nil {
-			t.Fatal(err)
 		}
 		if got := readFile(t, filepath.Join(dir, campaign.ResultsFile)); !bytes.Equal(got, want) {
 			t.Fatalf("results.jsonl differs from the single-process run:\n%s\nwant:\n%s", got, want)
