@@ -7,6 +7,8 @@ import (
 
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
+	"rpls/internal/graph"
+	"rpls/internal/prng"
 )
 
 // makeCerts builds deg distinct certificates of varying lengths.
@@ -180,13 +182,39 @@ func reframe(members []core.Cert) bitstring.String {
 	return w.String()
 }
 
-// FuzzCapSplit fuzzes the class-message parser every capped decision runs
-// on received bits. The oracle: no panic, and a message CapSplit accepts
-// re-frames to exactly its input bits.
+// memberProbe is a one-sided scheme on one port whose Decide accepts and
+// records the string that arrived, so a Boost over it shows the
+// repetitions each of Boost's Decide paths unframes.
+type memberProbe struct{ seen *[]core.Cert }
+
+func (memberProbe) Name() string                              { return "member-probe" }
+func (memberProbe) OneSided() bool                            { return true }
+func (memberProbe) Label(*graph.Config) ([]core.Label, error) { return nil, nil }
+func (memberProbe) Certs(view core.View, _ core.Label, _ *prng.Rand) []core.Cert {
+	return make([]core.Cert, view.Deg)
+}
+
+func (p memberProbe) Decide(_ core.View, _ core.Label, received []core.Cert) bool {
+	*p.seen = append(*p.seen, received...)
+	return true
+}
+
+// FuzzCapSplit fuzzes the member-list reader every capped and boosted
+// decision runs on received bits, in both framings. The oracle: no panic;
+// a message CapSplit accepts (a leading gamma count) re-frames to exactly
+// its input bits; and read as t ∈ {2, 3} Boost repetitions on one port,
+// the prepared node (core.DecideWindows) accepts exactly when Boost's
+// label path, which unframes one repetition at a time, does, and then
+// hands its inner node the same repetitions in the same order.
 func FuzzCapSplit(f *testing.F) {
 	honest := core.CapMerge(makeCerts(5), 2)[0]
 	hostile := hostileClassMessage()
-	for _, msg := range []core.Cert{honest, hostile, honest.Truncate(honest.Len() - 1), {}} {
+	var boosted bitstring.Writer // three repetitions, framed without a count
+	for _, c := range makeCerts(3) {
+		boosted.WriteGamma(uint64(c.Len()))
+		boosted.WriteString(c)
+	}
+	for _, msg := range []core.Cert{honest, hostile, honest.Truncate(honest.Len() - 1), {}, boosted.String()} {
 		f.Add(msg.Bytes(), msg.Len())
 	}
 	f.Fuzz(func(t *testing.T, data []byte, bits int) {
@@ -194,12 +222,19 @@ func FuzzCapSplit(f *testing.F) {
 			bits = 8 * len(data)
 		}
 		msg := bitstring.FromBytes(data).Truncate(bits)
-		members, err := core.CapSplit(msg)
-		if err != nil {
-			return
+		if members, err := core.CapSplit(msg); err == nil {
+			if got := reframe(members); !got.Equal(msg) {
+				t.Fatalf("accepted %d-bit message re-frames to %d different bits", msg.Len(), got.Len())
+			}
 		}
-		if got := reframe(members); !got.Equal(msg) {
-			t.Fatalf("accepted %d-bit message re-frames to %d different bits", msg.Len(), got.Len())
+		view := core.View{Deg: 1}
+		for _, reps := range []int{2, 3} {
+			var byPath, byNode []core.Cert
+			want := core.Boost(memberProbe{&byPath}, reps).Decide(view, core.Label{}, []core.Cert{msg})
+			node := core.Boost(memberProbe{&byNode}, reps).(core.Preparer).Prepare(view, core.Label{})
+			if got := node.Decide([][]core.Cert{{msg}}) == 1; got != want || want && !certsEqual(byNode, byPath) {
+				t.Fatalf("t=%d: node reads %d repetitions and votes %v, label path %d and %v", reps, len(byNode), got, len(byPath), want)
+			}
 		}
 	})
 }

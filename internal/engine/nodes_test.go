@@ -32,8 +32,9 @@ type nodeCase struct {
 // variants on its conformance fixture — honest labels on the legal
 // instance, and the same labels transplanted onto the illegal instance
 // when the node counts match — plus Boost(uniform, 3), Boost over the
-// two-sided coloring scheme, NewTruncatedRPLS(2), and the compiled MST
-// scheme under four malformed labels.
+// two-sided coloring scheme, NewTruncatedRPLS(2), the compiled MST
+// scheme under four malformed labels, and uniform rand and both Boosts on
+// one node without ports.
 func nodeCases(tb testing.TB) []nodeCase {
 	tb.Helper()
 	var out []nodeCase
@@ -82,6 +83,13 @@ func nodeCases(tb testing.TB) []nodeCase {
 	bad.labels[3] = gammaLieLabel(bad.labels[3])
 	bad.labels[4] = overlongReplicaLabel(bad.labels[4])
 	out[len(out)-1] = bad
+	// A node without ports: each of its lanes still gets one window, and
+	// a two-sided Boost takes its majority over zero ports.
+	lone := graph.NewConfig(graph.New(1))
+	lone.States[0] = uni.legal.States[0]
+	add("lone-uniform/rand", engine.FromRPLS(uniform.NewRPLS()), lone, nil)
+	add("lone-boost3-uniform", engine.FromRPLS(core.Boost(uniform.NewRPLS(), 3)), lone, nil)
+	add("lone-boost3-coloring", engine.FromRPLS(core.Boost(coloring.NewRPLS(col.params.M), 3)), lone, nil)
 	return out
 }
 
