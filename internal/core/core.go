@@ -25,9 +25,12 @@
 // Prepare does a node's coin-free work once (label parsing, the field, the
 // inner vote of a compiled scheme), and the node then runs up to 64 trials
 // ("lanes") per call without changing a single output bit. Compiled,
-// uniform and boosted schemes implement Preparer; every other scheme is
-// answered by a LabelNode over its label path, which stays the paper's
-// model and the reference every node is tested against.
+// uniform and boosted schemes implement Preparer. Compiled and uniform
+// both return an EqualityNode, which runs Lemma A.1's equality test on
+// every directed edge; Boost's node decides its framed repetitions through
+// DecideWindows, the decider the engine's capped rounds share. Every other
+// scheme is answered by a LabelNode over its label path, which stays the
+// paper's model and the reference every node is tested against.
 package core
 
 import (

@@ -105,11 +105,9 @@ func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert) {
 
 // Decide implements core.Prepared. A replicated string is a well-formed
 // uncapped string, so the inner node decides replicated rounds as they
-// arrived. A merged round is answered by core.DecideWindows: each class
-// message is read as its CapMerge member list (count 0: the list's leading
-// gamma code gives its size), window j carries member
-// min(j, |members on port i| − 1) on port i, so every member meets its
-// port's check, and a lane accepts when every window does.
+// arrived. A merged round is answered by core.DecideWindows over each
+// class message's CapMerge member list (count 0: the list's leading gamma
+// code gives its size), and a lane accepts when every window does.
 func (n *capNode) Decide(recv [][]core.Cert) uint64 {
 	if !n.merge {
 		return n.inner.Decide(recv)

@@ -13,14 +13,16 @@
 // Every trial is answered through one per-trial contract: the engine
 // prepares one core.Prepared node per graph node — once per estimate, and
 // once per Round call for Run and Verify — and a node answers 1 to 64
-// trials ("lanes") per call. Compiled, uniform and boosted schemes bring
-// their own nodes; every other scheme shape (deterministic label
-// broadcast, coloring, test fixtures) is answered by a core.LabelNode over
-// its label path. Under a multiplicity cap the engine wraps each of those
-// nodes in its one cap node (see congestion.go). The label path (Certs and
-// Decide) stays the paper's model and the reference every node is tested
-// against. Both executors run the one lane loop over those nodes (see
-// kernel) and differ only in their widest batch:
+// trials ("lanes") per call. Compiled and uniform schemes bring a
+// core.EqualityNode and boosted schemes their own node; every other scheme
+// shape (deterministic label broadcast, coloring, test fixtures) is
+// answered by a core.LabelNode over its label path. Under a multiplicity
+// cap the engine wraps each of those nodes in its one cap node (see
+// congestion.go), which decides merged class messages through
+// core.DecideWindows, as Boost's node decides its repetitions. The label
+// path (Certs and Decide) stays the paper's model and the reference every
+// node is tested against. Both executors run the one lane loop over those
+// nodes (see kernel) and differ only in their widest batch:
 //
 //   - Sequential — one lane: one Round runs a scheme's t >= 1 rounds (the
 //     classic round is t = 1) from strings derived once per node, meters
@@ -32,8 +34,8 @@
 //     trials through one graph traversal, AND-reducing per-node vote
 //     masks. Estimate hands it whole trial chunks.
 //
-// A coin-free scheme runs once per estimate on either executor, since
-// every trial is the same execution.
+// A deterministic scheme, sharded or not, runs once per estimate on either
+// executor, since every trial is the same execution.
 //
 // NewExecutor resolves the executor names the CLIs and campaign specs use.
 // Both executors produce identical votes and stats for the same seed, and
@@ -71,8 +73,8 @@
 // degradation: a one-sided single-round scheme merges each class into one
 // message (core.CapMerge wire format) whose receiver checks every member,
 // every other randomized scheme replicates each class's longest string
-// (core.CapReplicate), and deterministic label broadcast satisfies every
-// cap as is.
+// (core.CapReplicate), and deterministic label broadcast, sharded or not,
+// satisfies every cap as is.
 // Stats.DistinctMessages / Summary.TotalDistinct meter the constrained
 // quantity under the same byte-identity guarantee as the other counters.
 // See DESIGN.md, "Congestion-bounded verification".
