@@ -45,9 +45,10 @@ func TestParseSpecRejectsUnknownNames(t *testing.T) {
 		{"duplicate curve axis", okSpec(`,"curves":[{"axis":"rounds","min":1},{"axis":"rounds","min":2}]`), "bounded twice"},
 		{"negative curve min", okSpec(`,"curves":[{"axis":"variant","min":-1}]`), "min >= 0"},
 	}
-	// The retired executors are unknown names, not aliases: cell IDs encode
-	// the executor, so a spec naming one must fail rather than re-map.
-	for _, exec := range []string{"nope", "pool", "goroutines"} {
+	// The retired executors and the retired "seq" alias are unknown names:
+	// cell IDs encode the executor, so a spec naming one must fail rather
+	// than re-map, or one execution would run under two cell IDs.
+	for _, exec := range []string{"nope", "pool", "goroutines", "seq"} {
 		cases = append(cases, struct{ name, doc, wantErr string }{"unknown executor " + exec,
 			`{"name":"x","schemes":[{"name":"leader"}],"families":[{"name":"path"}],"sizes":[8],"seeds":[1],"measures":["estimate"],"executors":["` + exec + `"]}`,
 			"unknown executor"})

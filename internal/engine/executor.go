@@ -38,7 +38,7 @@ var executorTable = []struct {
 }
 
 // ExecutorNames lists the executor names NewExecutor accepts, in table
-// order (aliases excluded).
+// order.
 func ExecutorNames() []string {
 	names := make([]string, len(executorTable))
 	for i, e := range executorTable {
@@ -47,14 +47,11 @@ func ExecutorNames() []string {
 	return names
 }
 
-// NewExecutor returns a fresh executor by name; "seq" is an alias of
-// "sequential". Any other name — including the retired "pool" and
-// "goroutines" — is rejected with an *OptionError naming WithExecutor
-// rather than re-mapped, because campaign cell IDs encode the executor.
+// NewExecutor returns a fresh executor by name. Any other name — including
+// the retired "pool" and "goroutines" — is rejected with an *OptionError
+// naming WithExecutor rather than re-mapped, because campaign cell IDs
+// encode the executor: an alias would give one execution two IDs.
 func NewExecutor(name string) (Executor, error) {
-	if name == "seq" {
-		name = "sequential"
-	}
 	for _, e := range executorTable {
 		if e.name == name {
 			return e.mk(), nil

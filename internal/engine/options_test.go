@@ -56,9 +56,9 @@ func TestOptionValidation(t *testing.T) {
 			return err
 		}},
 	}
-	// Executor names resolve through one table; removed executors are
-	// unknown names, not aliases.
-	for _, name := range []string{"pool", "goroutines", "go", ""} {
+	// Executor names resolve through one table; removed executors and the
+	// retired "seq" alias are unknown names.
+	for _, name := range []string{"pool", "goroutines", "go", "seq", ""} {
 		cases = append(cases, struct {
 			name   string
 			option string
@@ -104,9 +104,9 @@ func TestOptionValidationAcceptsBoundaries(t *testing.T) {
 	if got := strings.Join(engine.ExecutorNames(), ","); got != "sequential,batched" {
 		t.Errorf("ExecutorNames() = %s, want sequential,batched", got)
 	}
-	for name, want := range map[string]string{"sequential": "sequential", "seq": "sequential", "batched": "batched"} {
-		if exec, err := engine.NewExecutor(name); err != nil || exec.Name() != want {
-			t.Errorf("NewExecutor(%q) = %v, %v; want a %s executor", name, exec, err, want)
+	for _, name := range engine.ExecutorNames() {
+		if exec, err := engine.NewExecutor(name); err != nil || exec.Name() != name {
+			t.Errorf("NewExecutor(%q) = %v, %v; want a %s executor", name, exec, err, name)
 		}
 	}
 }
