@@ -1,6 +1,6 @@
 // Command plscampaign expands a declarative scenario spec into a plan of
 // cells and streams them through the verification engine into a campaign
-// directory (results.jsonl + manifest.jsonl + BENCH_campaign.json +
+// directory (spec.json + results.jsonl + BENCH_campaign.json +
 // BENCH_curves.json).
 //
 // Usage:
@@ -19,20 +19,21 @@
 //	plscampaign assert -out out/
 //	plscampaign list
 //
-// run is idempotent: cells the directory's manifest marks complete are
-// skipped, so interrupting and re-running resumes where it stopped. resume
-// is run with the spec re-read from the directory itself. Every run also
-// rewrites BENCH_curves.json, the curve aggregate along the variant,
-// rounds and multiplicity axes. assert re-derives those curves from the
-// directory's results.jsonl and stored spec.json, prints one table per
-// axis, and exits 1 naming each of the spec's `curves` bounds that the
-// data misses (a spec without bounds is report-only).
+// run is idempotent: cells the directory's results.jsonl already records
+// are skipped, so interrupting and re-running resumes where it stopped
+// (results.jsonl is the checkpoint; a cell whose record is missing runs
+// again). resume is run with the spec re-read from the directory itself.
+// Every run also rewrites BENCH_curves.json, the curve aggregate along the
+// variant, rounds and multiplicity axes. assert re-derives those curves
+// from the directory's results.jsonl and stored spec.json, prints one
+// table per axis, and exits 1 naming each of the spec's `curves` bounds
+// that the data misses (a spec without bounds is report-only).
 //
 // serve and work distribute a campaign over HTTP: serve owns the campaign
 // directory and leases contiguous cell ranges to workers; work executes
 // leased cells with the ordinary engine and streams records back. Crashed
 // or stalled workers are handled by lease expiry and reclaim, a killed
-// coordinator restarts with `serve` against the same -out (the manifest
+// coordinator restarts with `serve` against the same -out (results.jsonl
 // is the checkpoint), and the directory stays byte-identical to a
 // single-process run at any worker count. Omit -spec on serve to resume
 // from the directory's own spec, exactly like `resume`.

@@ -36,8 +36,8 @@
 //     specs expand into deterministic cross products of schemes × graph
 //     families × sizes × seeds × adversaries × measures (acceptance,
 //     soundness, communication) × verification rounds, and a parallel
-//     scheduler streams them into append-only JSONL results with a
-//     resumable manifest, the BENCH_campaign.json summary and the
+//     scheduler streams them into append-only JSONL results that double
+//     as the resume checkpoint, the BENCH_campaign.json summary and the
 //     BENCH_curves.json det/rand, rounds and multiplicity curves with
 //     spec-declared bounds (byte-identical output at any worker count)
 //   - internal/core       — the PLS/RPLS model of §2.2, compiler, universal

@@ -2,12 +2,13 @@ package campaign
 
 // The transport-agnostic campaign core. Prepare turns (directory, spec)
 // into the exact set of cells still to execute — expanding the plan,
-// writing the spec for provenance, repairing torn JSONL tails, and loading
-// the manifest's done-set — and Sink restores plan order on the way back
-// out: completed cells arrive in any order (local worker pool, remote
-// fabric workers, crash-reclaimed re-executions) and leave as in-order
-// appends to results.jsonl and manifest.jsonl. WriteAggregates rewrites
-// the BENCH_*.json files from the full results stream afterwards.
+// writing the spec for provenance, repairing a torn results.jsonl tail,
+// and taking the done-set from the records already there — and Sink
+// restores plan order on the way back out: completed cells arrive in any
+// order (local worker pool, remote fabric workers, crash-reclaimed
+// re-executions) and leave as in-order appends to results.jsonl, the one
+// checkpoint. WriteAggregates rewrites the BENCH_*.json files from the
+// full results stream afterwards.
 //
 // Every scheduling strategy — the in-process Runner in scheduler.go and
 // the coordinator/worker fabric in campaign/fabric — is a driver over
@@ -57,30 +58,20 @@ func Prepare(dir string, spec Spec) (*Prepared, error) {
 	if err := writeSpec(filepath.Join(dir, SpecFile), plan.Spec); err != nil {
 		return nil, err
 	}
-	// A crash mid-write can leave a torn trailing line in either stream;
-	// repair both before appending, or the next append would concatenate
-	// onto the partial record and corrupt it and itself at once.
+	// A crash mid-write can leave a torn trailing line; repair it before
+	// appending, or the next append would concatenate onto the partial
+	// record and corrupt it and itself at once. Every whole record names a
+	// completed cell, so the records are the done-set.
 	if err := truncateTornTail(filepath.Join(dir, ResultsFile)); err != nil {
 		return nil, err
 	}
-	if err := truncateTornTail(filepath.Join(dir, ManifestFile)); err != nil {
-		return nil, err
-	}
-	done, err := loadManifest(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return nil, err
-	}
-	// A crash between the results flush and the manifest flush leaves a
-	// record without a manifest line; treat recorded cells as complete too,
-	// or the resume would append a duplicate record.
 	recorded, err := ReadRecords(dir)
 	if err != nil {
 		return nil, err
 	}
+	done := make(map[string]string, len(recorded))
 	for _, rec := range recorded {
-		if _, ok := done[rec.Cell]; !ok {
-			done[rec.Cell] = rec.Status
-		}
+		done[rec.Cell] = rec.Status
 	}
 
 	p := &Prepared{Plan: plan}
@@ -115,20 +106,18 @@ func MarshalRecord(rec Record) []byte {
 	return line
 }
 
-// Sink owns the append ends of results.jsonl and manifest.jsonl and
-// restores plan order: Put accepts completed cells by todo index in any
-// order, buffers the out-of-order ones, and appends every contiguous
-// prefix as it forms, flushing after each batch so an interrupted run
-// resumes from its last whole cell. Put is idempotent per index — the
-// first record wins, and a duplicate (a reclaimed lease whose original
-// owner raced the re-issue) is dropped — which, with cells being pure
-// functions, keeps the output byte-identical under crashes and retries.
-// Safe for concurrent use.
+// Sink owns the append end of results.jsonl and restores plan order: Put
+// accepts completed cells by todo index in any order, buffers the
+// out-of-order ones, and appends every contiguous prefix as it forms,
+// flushing after each batch so an interrupted run resumes from its last
+// whole cell. Put is idempotent per index — the first record wins, and a
+// duplicate (a reclaimed lease whose original owner raced the re-issue)
+// is dropped — which, with cells being pure functions, keeps the output
+// byte-identical under crashes and retries. Safe for concurrent use.
 type Sink struct {
 	mu       sync.Mutex
-	results  *os.File
-	manifest *os.File
-	rw, mw   *bufio.Writer
+	f        *os.File
+	w        *bufio.Writer
 	todo     []Cell
 	lines    [][]byte
 	statuses []string
@@ -140,27 +129,19 @@ type Sink struct {
 	err      error // sticky first write error
 }
 
-// NewSink opens the directory's results and manifest streams for
-// appending. rep receives the per-status counts as cells are written; it
-// may be nil.
+// NewSink opens the directory's results stream for appending. rep
+// receives the per-status counts as cells are written; it may be nil.
 func NewSink(dir string, todo []Cell, rep *Report) (*Sink, error) {
-	results, err := os.OpenFile(filepath.Join(dir, ResultsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, ResultsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	manifest, err := os.OpenFile(filepath.Join(dir, ManifestFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		results.Close()
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	if rep == nil {
 		rep = &Report{}
 	}
 	return &Sink{
-		results:  results,
-		manifest: manifest,
-		rw:       bufio.NewWriter(results),
-		mw:       bufio.NewWriter(manifest),
+		f:        f,
+		w:        bufio.NewWriter(f),
 		todo:     todo,
 		lines:    make([][]byte, len(todo)),
 		statuses: make([]string, len(todo)),
@@ -204,11 +185,8 @@ func (s *Sink) Put(idx int, line []byte, status string) error {
 	for s.next < len(s.todo) && s.ready[s.next] {
 		l, st := s.lines[s.next], s.statuses[s.next]
 		s.lines[s.next] = nil
-		s.rw.Write(l)
-		s.rw.WriteByte('\n')
-		ml, _ := json.Marshal(manifestLine{Cell: s.todo[s.next].ID(), Status: st})
-		s.mw.Write(ml)
-		s.mw.WriteByte('\n')
+		s.w.Write(l)
+		s.w.WriteByte('\n')
 		switch st {
 		case StatusOK:
 			s.rep.OK++
@@ -228,14 +206,8 @@ func (s *Sink) Put(idx int, line []byte, status string) error {
 		}
 	}
 	if wrote {
-		// Results flush first: a crash between the two leaves a record
-		// without a manifest line, which Prepare treats as complete.
-		if err := s.rw.Flush(); err != nil {
+		if err := s.w.Flush(); err != nil {
 			s.err = fmt.Errorf("campaign: write results: %w", err)
-			return s.err
-		}
-		if err := s.mw.Flush(); err != nil {
-			s.err = fmt.Errorf("campaign: write manifest: %w", err)
 			return s.err
 		}
 	}
@@ -272,17 +244,14 @@ func (s *Sink) Err() error {
 	return s.err
 }
 
-// Close closes both streams (already flushed per batch). Out-of-order
-// cells still buffered at close are discarded: they cannot be written
-// without violating plan order, and their cells simply re-execute on
-// resume.
+// Close closes the results stream (already flushed per batch).
+// Out-of-order cells still buffered at close are discarded: they cannot be
+// written without violating plan order, and their cells simply re-execute
+// on resume.
 func (s *Sink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.results.Close()
-	if merr := s.manifest.Close(); err == nil {
-		err = merr
-	}
+	err := s.f.Close()
 	if err != nil && s.err == nil {
 		s.err = fmt.Errorf("campaign: %w", err)
 	}
@@ -371,37 +340,6 @@ func writeSpec(path string, spec Spec) error {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
-}
-
-// loadManifest reads the completed-cell set of a campaign directory. A
-// missing manifest is an empty one. A partial final record — a crash
-// mid-append — is discarded, which at worst re-executes that one cell;
-// garbage anywhere earlier is an error, because silently skipping a
-// mid-file line would re-execute its cell and append a duplicate record.
-func loadManifest(path string) (map[string]string, error) {
-	done := map[string]string{}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return done, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	for i, ln := range lines {
-		if len(bytes.TrimSpace(ln)) == 0 {
-			continue
-		}
-		var ml manifestLine
-		if err := json.Unmarshal(ln, &ml); err != nil {
-			if i == len(lines)-1 {
-				continue // torn tail of a crash mid-append; the cell re-executes
-			}
-			return nil, fmt.Errorf("campaign: manifest line %d: %w", i+1, err)
-		}
-		done[ml.Cell] = ml.Status
-	}
-	return done, nil
 }
 
 // truncateTornTail removes a partial trailing line (no terminating newline)

@@ -1,72 +1,55 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// A crash mid-append leaves a partial final manifest line. Loading must
-// keep every complete record and discard only the torn tail.
-func TestLoadManifestToleratesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), ManifestFile)
-	content := `{"cell":"a","status":"ok"}` + "\n" +
-		`{"cell":"b","status":"error"}` + "\n" +
-		`{"cell":"c","sta` // crash mid-append: no closing JSON, no newline
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	done, err := loadManifest(path)
-	if err != nil {
-		t.Fatalf("torn tail must not fail the load: %v", err)
-	}
-	if len(done) != 2 || done["a"] != StatusOK || done["b"] != StatusError {
-		t.Errorf("done = %v, want the two complete records", done)
-	}
-}
-
-// Garbage anywhere before the final line is corruption, not a torn tail:
-// skipping it would re-execute the cell and append a duplicate record.
-func TestLoadManifestRejectsMidFileGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), ManifestFile)
-	content := `{"cell":"a","status":"ok"}` + "\n" +
-		`{"cell":"b","sta` + "\n" + // complete line, broken JSON
-		`{"cell":"c","status":"ok"}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadManifest(path); err == nil || !strings.Contains(err.Error(), "manifest line 2") {
-		t.Errorf("got %v, want an error naming manifest line 2", err)
-	}
-}
-
-// End to end: resuming over a manifest with a torn tail succeeds, repairs
-// the file in place, and re-executes nothing whose record survived.
-func TestResumeRepairsTornManifestTail(t *testing.T) {
+// results.jsonl is the checkpoint: a record lost from its tail (a crash
+// before the write reached the disk) re-executes on resume, even when a
+// manifest.jsonl written before the results stream became the only
+// checkpoint still lists its cell as complete.
+func TestLostRecordReexecutes(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
 	spec.Sizes = []int{8}
 	rep := runInto(t, spec, dir, 2)
+	results := filepath.Join(dir, ResultsFile)
+	whole := readFile(t, results)
 
-	mpath := filepath.Join(dir, ManifestFile)
-	before := readFile(t, mpath)
-	f, err := os.OpenFile(mpath, os.O_APPEND|os.O_WRONLY, 0o644)
+	recs, err := ReadRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"cell":"torn`); err != nil {
+	var manifest []byte
+	for _, r := range recs {
+		line, err := json.Marshal(struct {
+			Cell   string `json:"cell"`
+			Status string `json:"status"`
+		}{r.Cell, r.Status})
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest = append(append(manifest, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), manifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	body := bytes.TrimSuffix(whole, []byte("\n"))
+	if err := os.WriteFile(results, whole[:bytes.LastIndexByte(body, '\n')+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	rep2 := runInto(t, spec, dir, 2)
-	if rep2.Executed != 0 || rep2.Skipped != rep.Cells {
-		t.Fatalf("resume over torn manifest executed %d, skipped %d (want 0, %d)", rep2.Executed, rep2.Skipped, rep.Cells)
+	if rep2.Executed != 1 || rep2.Skipped != rep.Cells-1 {
+		t.Fatalf("resume after a lost record executed %d, skipped %d (want 1, %d)", rep2.Executed, rep2.Skipped, rep.Cells-1)
 	}
-	after := readFile(t, mpath)
-	if string(after) != string(before) {
-		t.Error("resume did not repair the torn manifest tail back to the complete records")
+	if got := readFile(t, results); !bytes.Equal(got, whole) {
+		t.Fatal("resume did not restore the lost record")
 	}
 }
 

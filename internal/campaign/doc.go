@@ -3,9 +3,9 @@
 // the cross product of schemes × variants × graph families × sizes × seeds
 // × executors × measures — and a parallel scheduler streams the cells
 // through engine.Estimate and engine.Soundness into append-only JSONL
-// results with a resumable manifest. Executor names resolve through
-// engine.NewExecutor ("sequential", alias "seq", and "batched"); a spec
-// naming any other executor, the retired "pool" and "goroutines" included,
+// results, which are also the resume checkpoint. Executor names resolve
+// through engine.NewExecutor ("sequential" and "batched"); a spec naming
+// any other executor, the retired "pool", "goroutines" and "seq" included,
 // fails validation with the engine's *OptionError before any cell runs,
 // since cell IDs encode the executor as spelled.
 //
@@ -27,9 +27,9 @@
 // worker count. The golden test in scheduler_test.go enforces this.
 //
 // The package is layered as a transport-agnostic core plus consumers:
-// Prepare reconciles a directory against a spec (torn-tail repair,
-// manifest load, todo computation), MarshalRecord is the one record
-// marshaler, Sink is the in-order reorder buffer with idempotent
+// Prepare reconciles a directory against a spec (torn-tail repair, the
+// done-set from the records, todo computation), MarshalRecord is the one
+// record marshaler, Sink is the in-order reorder buffer with idempotent
 // first-write-wins delivery, and WriteAggregates rewrites the
 // BENCH_*.json tail. Runner drives those four primitives with an
 // in-process worker pool; the campaign/fabric sub-package drives the same
@@ -38,13 +38,14 @@
 // re-deriving it per transport. See DESIGN.md, "Distributed campaigns".
 //
 // Resume contract: a campaign directory holds spec.json (provenance),
-// results.jsonl (one Record per executed cell, append-only),
-// manifest.jsonl (one line per completed cell ID, append-only), and
-// BENCH_campaign.json and BENCH_curves.json (the aggregates, rewritten
-// after every run). A
-// re-run loads the manifest and skips completed cells without re-executing
-// or re-writing them; extending a spec (more sizes, more seeds) in the
-// same directory executes only the new cells.
+// results.jsonl (one Record per executed cell, append-only, flushed per
+// batch), and BENCH_campaign.json and BENCH_curves.json (the aggregates,
+// rewritten after every run). results.jsonl is the checkpoint: a re-run
+// reads its records and skips the cells they name without re-executing or
+// re-writing them, and a cell whose record is missing runs again;
+// extending a spec (more sizes, more seeds) in the same directory executes
+// only the new cells. A manifest.jsonl left by an older version is never
+// read.
 //
 // Wire accounting: the estimate and comm measures record the engine's
 // exact wire counters (TotalBits, TotalDistinct, MaxPortBits,

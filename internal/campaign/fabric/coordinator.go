@@ -299,7 +299,7 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 // are already done (a reclaimed lease's original owner racing its
 // replacement, or a replayed report) are counted and dropped; everything
 // else flows through the Sink, which writes in plan order. A record's line
-// must be a campaign.Record of the reported cell and status, in exactly
+// must be a campaign.Record of the plan's cell at its index, in exactly
 // the form MarshalRecord writes: the Sink writes it verbatim as one line
 // of results.jsonl, which ReadRecords must read back.
 func (c *Coordinator) accept(req ReportRequest) (ReportResponse, error) {
@@ -311,22 +311,18 @@ func (c *Coordinator) accept(req ReportRequest) (ReportResponse, error) {
 		if rec.Index < 0 || rec.Index >= len(c.prep.Todo) {
 			return ReportResponse{}, fmt.Errorf("fabric: record index %d out of range [0, %d)", rec.Index, len(c.prep.Todo))
 		}
-		if id := c.prep.Todo[rec.Index].ID(); id != rec.Cell {
-			return ReportResponse{}, fmt.Errorf("fabric: record %d names cell %q, plan has %q", rec.Index, rec.Cell, id)
-		}
 		var line campaign.Record
 		if err := json.Unmarshal(rec.Line, &line); err != nil || !bytes.Equal(campaign.MarshalRecord(line), rec.Line) {
 			return ReportResponse{}, fmt.Errorf("fabric: record %d line is not a record in MarshalRecord's form", rec.Index)
 		}
-		if line.Cell != rec.Cell || line.Status != rec.Status {
-			return ReportResponse{}, fmt.Errorf("fabric: record %d line is cell %q with status %q, the report says %q with %q",
-				rec.Index, line.Cell, line.Status, rec.Cell, rec.Status)
+		if id := c.prep.Todo[rec.Index].ID(); line.Cell != id {
+			return ReportResponse{}, fmt.Errorf("fabric: record %d line is cell %q, plan has %q", rec.Index, line.Cell, id)
 		}
 		if c.state[rec.Index] == cellDone {
 			obsDuplicates.Inc()
 			continue
 		}
-		if err := c.sink.Put(rec.Index, rec.Line, rec.Status); err != nil {
+		if err := c.sink.Put(rec.Index, rec.Line, line.Status); err != nil {
 			return ReportResponse{}, err
 		}
 		c.state[rec.Index] = cellDone

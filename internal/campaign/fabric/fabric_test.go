@@ -92,7 +92,7 @@ func readFile(t *testing.T, path string) []byte {
 // compareDirs asserts the files a distributed run must reproduce exactly.
 func compareDirs(t *testing.T, want, got string) {
 	t.Helper()
-	for _, name := range []string{campaign.ResultsFile, campaign.ManifestFile, campaign.BenchFile, campaign.BenchCurvesFile} {
+	for _, name := range []string{campaign.ResultsFile, campaign.BenchFile, campaign.BenchCurvesFile} {
 		w := readFile(t, filepath.Join(want, name))
 		g := readFile(t, filepath.Join(got, name))
 		if !bytes.Equal(w, g) {
@@ -207,10 +207,8 @@ func TestKilledWorkerMidRange(t *testing.T) {
 			Worker: "ghost",
 			Lease:  lr.Lease.ID,
 			Records: []ReportRecord{{
-				Index:  lr.Lease.Start + i,
-				Cell:   cell.ID(),
-				Status: rec.Status,
-				Line:   campaign.MarshalRecord(rec),
+				Index: lr.Lease.Start + i,
+				Line:  campaign.MarshalRecord(rec),
 			}},
 		}
 		var rr ReportResponse
@@ -333,10 +331,13 @@ func TestReportValidation(t *testing.T) {
 	if lr.Lease == nil {
 		t.Fatal("no lease")
 	}
+	// The last report carries the honest record of the lease's second cell
+	// at the first cell's index.
+	other := campaign.MarshalRecord(campaign.RunCell(lr.Lease.Cells[1]))
 	bad := []ReportRequest{
-		{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{{Index: -1, Cell: "x", Line: json.RawMessage(`{}`)}}},
-		{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{{Index: 10 << 20, Cell: "x", Line: json.RawMessage(`{}`)}}},
-		{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{{Index: lr.Lease.Start, Cell: "wrong-id", Line: json.RawMessage(`{}`)}}},
+		{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{{Index: -1, Line: json.RawMessage(`{}`)}}},
+		{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{{Index: 10 << 20, Line: json.RawMessage(`{}`)}}},
+		{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{{Index: lr.Lease.Start, Line: other}}},
 	}
 	for i, req := range bad {
 		var rr ReportResponse

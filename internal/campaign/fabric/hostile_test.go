@@ -32,7 +32,7 @@ func honestRecords(tb testing.TB, spec campaign.Spec) []ReportRecord {
 	out := make([]ReportRecord, len(plan.Cells))
 	for i, cell := range plan.Cells {
 		rec := campaign.RunCell(cell)
-		out[i] = ReportRecord{Index: i, Cell: cell.ID(), Status: rec.Status, Line: campaign.MarshalRecord(rec)}
+		out[i] = ReportRecord{Index: i, Line: campaign.MarshalRecord(rec)}
 	}
 	return out
 }
@@ -59,7 +59,7 @@ func reportBody(worker string, lease uint64, recs []ReportRecord) []byte {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `{"index":%d,"cell":%s,"status":%s,"line":%s}`, r.Index, jsonString(r.Cell), jsonString(r.Status), r.Line)
+		fmt.Fprintf(&b, `{"index":%d,"line":%s}`, r.Index, r.Line)
 	}
 	b.WriteString("]}")
 	return b.Bytes()
@@ -187,9 +187,10 @@ func TestReportRejectsMultiLineRecord(t *testing.T) {
 	compareDirs(t, solo, dir)
 }
 
-// A record line must be a record of the reported cell. The Sink writes
-// lines verbatim, so a line such as 123 or {} used to be written, after
-// which Finish, ReadRecords and any later run failed to parse the file.
+// A record line must be a record of the plan's cell at its index. The
+// Sink writes lines verbatim, so a line such as 123 or {} used to be
+// written, after which Finish, ReadRecords and any later run failed to
+// parse the file.
 func TestReportRejectsNonRecordLine(t *testing.T) {
 	spec := fabricSpec()
 	solo := filepath.Join(t.TempDir(), "solo")
@@ -246,9 +247,9 @@ func TestOversizedBodyRejected(t *testing.T) {
 //	opReport l n r…     report n%4+1 records: l < 0x80 picks a granted
 //	                    lease (any lease ID l&0x7F otherwise), and each
 //	                    record byte r names index (r&0xF)%(N+2)−1, where
-//	                    −1 and N are out of range, with flags r>>4: 1 a
-//	                    wrong cell ID, 2 a dishonest compact line, 4 the
-//	                    honest line pretty-printed
+//	                    −1 and N are out of range, with flags r>>4: 1 the
+//	                    next cell's honest line, 2 a dishonest compact
+//	                    line, 4 the line pretty-printed
 //	opReplay k          resend the k-th report body sent so far
 //	opRaw p n b…        send the next n bytes as the body of endpoint p%3
 const (
@@ -261,8 +262,9 @@ const (
 )
 
 // fuzzCalls drives the handler with the calls ops encode, checking that
-// every body that does not decode is answered 400. It reports whether
-// every record line sent was its cell's honest line, compact or not.
+// every body that does not decode, and every report that carries another
+// cell's line, is answered 400. It reports whether every record line sent
+// was an honest line, compact or not.
 func fuzzCalls(t *testing.T, h http.Handler, recs []ReportRecord, ops []byte) (honest bool) {
 	honest = true
 	next := func() byte {
@@ -302,16 +304,17 @@ func fuzzCalls(t *testing.T, h http.Handler, recs []ReportRecord, ops []byte) (h
 				lease = leases[int(sel)%len(leases)]
 			}
 			batch := make([]ReportRecord, int(next()%4)+1)
+			wrongCell := false
 			for k := range batch {
 				r := next()
 				idx := int(r&0xF)%(len(recs)+2) - 1
-				rec := ReportRecord{Index: idx, Cell: "out-of-range", Status: campaign.StatusOK, Line: json.RawMessage(`{}`)}
+				rec := ReportRecord{Index: idx, Line: json.RawMessage(`{}`)}
 				if idx >= 0 && idx < len(recs) {
 					rec = recs[idx]
 				}
 				flags := r >> 4
 				if flags&1 != 0 {
-					rec.Cell = "wrong-cell"
+					rec.Line, wrongCell = recs[(idx+1)%len(recs)].Line, true
 				}
 				if flags&2 != 0 {
 					rec.Line, honest = json.RawMessage(`{"cell":"forged"}`), false
@@ -326,7 +329,9 @@ func fuzzCalls(t *testing.T, h http.Handler, recs []ReportRecord, ops []byte) (h
 			}
 			body := reportBody("f0", lease, batch)
 			sent = append(sent, body)
-			call(PathReport, body, new(ReportRequest))
+			if rr := call(PathReport, body, new(ReportRequest)); wrongCell && rr.Code != http.StatusBadRequest {
+				t.Fatalf("report %s carries another cell's line, answered %d, want 400", body, rr.Code)
+			}
 		case opReplay:
 			if len(sent) > 0 {
 				call(PathReport, sent[int(next())%len(sent)], new(ReportRequest))
@@ -375,17 +380,15 @@ func FuzzCoordinator(f *testing.F) {
 	f.Add([]byte{opLease, 0, opReport, 0, 0, 0x41})
 	// Two leases; cell 5, of the second, reported under the first.
 	f.Add([]byte{opLease, 0, opLease, 1, opReport, 0, 0, 6})
+	// A lease; cell 0 reported with cell 1's honest line.
+	f.Add([]byte{opLease, 0, opReport, 0, 0, 0x11})
 	// Indexes −1 and N in one report, under a stale lease ID.
 	f.Add([]byte{opLease, 0, opReport, 0x85, 1, 0, 9})
 	// A truncated report body.
 	truncated := []byte(`{"worker":"f0","lease":1,"records":[{"index":0,"ce`)
 	f.Add(append([]byte{opLease, 0, opRaw, 2, byte(len(truncated))}, truncated...))
 	// A lease; cell 0 reported with the line 123, which is no record.
-	nonRecord := fmt.Appendf(nil, `{"worker":"f0","lease":1,"records":[{"index":0,"cell":%s,"status":%s,"line":123}]}`,
-		jsonString(recs[0].Cell), jsonString(recs[0].Status))
-	if len(nonRecord) > 255 {
-		f.Fatalf("the non-record seed's body is %d bytes; opRaw sends at most 255", len(nonRecord))
-	}
+	nonRecord := []byte(`{"worker":"f0","lease":1,"records":[{"index":0,"line":123}]}`)
 	f.Add(append([]byte{opLease, 0, opRaw, 2, byte(len(nonRecord))}, nonRecord...))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {

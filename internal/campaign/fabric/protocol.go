@@ -51,13 +51,12 @@ type LeaseResponse struct {
 
 // ReportRecord is one completed cell. Line holds the canonical
 // results.jsonl bytes produced by campaign.MarshalRecord on the worker;
-// the coordinator writes them verbatim, which is what keeps a distributed
-// run byte-identical to a single-process one.
+// the coordinator checks the record's cell against its plan and writes
+// the bytes verbatim, which is what keeps a distributed run byte-identical
+// to a single-process one.
 type ReportRecord struct {
-	Index  int             `json:"index"` // plan-order todo index
-	Cell   string          `json:"cell"`  // cell ID, cross-checked against the coordinator's plan
-	Status string          `json:"status"`
-	Line   json.RawMessage `json:"line"`
+	Index int             `json:"index"` // plan-order todo index
+	Line  json.RawMessage `json:"line"`
 }
 
 // ReportRequest streams completed cells back under a lease.

@@ -166,10 +166,8 @@ func (w *Worker) executeLease(ctx context.Context, client *http.Client, log *slo
 			Worker: name,
 			Lease:  l.ID,
 			Records: []ReportRecord{{
-				Index:  l.Start + i,
-				Cell:   cell.ID(),
-				Status: rec.Status,
-				Line:   campaign.MarshalRecord(rec),
+				Index: l.Start + i,
+				Line:  campaign.MarshalRecord(rec),
 			}},
 		}
 		var rr ReportResponse

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -18,13 +17,12 @@ import (
 
 // File names inside a campaign directory.
 const (
-	SpecFile     = "spec.json"
-	ResultsFile  = "results.jsonl"
-	ManifestFile = "manifest.jsonl"
-	BenchFile    = "BENCH_campaign.json"
+	SpecFile    = "spec.json"
+	ResultsFile = "results.jsonl"
+	BenchFile   = "BENCH_campaign.json"
 )
 
-// Cell statuses recorded in results and manifest.
+// Cell statuses recorded in results.
 const (
 	StatusOK           = "ok"
 	StatusIncompatible = "incompatible"
@@ -91,17 +89,11 @@ func (r Record) RoundCount() int {
 	return r.Rounds
 }
 
-// manifestLine marks one completed cell in manifest.jsonl.
-type manifestLine struct {
-	Cell   string `json:"cell"`
-	Status string `json:"status"`
-}
-
 // Report summarizes one scheduler run.
 type Report struct {
 	Cells        int // cells in the expanded plan
 	Executed     int // cells actually run this time
-	Skipped      int // cells the manifest marked complete
+	Skipped      int // cells results.jsonl already recorded
 	OK           int
 	Incompatible int
 	Errors       int
@@ -127,26 +119,18 @@ func (r Report) String() string {
 type Runner struct {
 	Dir      string
 	Parallel int // worker count; <= 0 selects GOMAXPROCS
-	// Log receives the progress stream as slog text records, one per phase
-	// event, each carrying a phase=plan|execute|progress|aggregate|done
-	// attribute (the CI smoke greps that sequence). Logger, when set, takes
-	// precedence and receives the structured records directly.
-	Log    io.Writer
+	// Logger receives the progress stream, one record per phase event,
+	// each carrying a phase=plan|execute|progress|aggregate|done attribute
+	// (the CI smoke greps that sequence). Nil discards.
 	Logger *slog.Logger
 }
 
-// logger resolves the structured progress sink: Logger wins, a bare Log
-// writer gets a TextHandler (so pre-slog consumers keep greppable
-// key=value lines), and the default discards.
+// logger resolves the structured progress sink; the default discards.
 func (r *Runner) logger() *slog.Logger {
-	switch {
-	case r.Logger != nil:
+	if r.Logger != nil {
 		return r.Logger
-	case r.Log != nil:
-		return slog.New(slog.NewTextHandler(r.Log, nil))
-	default:
-		return slog.New(slog.DiscardHandler)
 	}
+	return slog.New(slog.DiscardHandler)
 }
 
 func (r *Runner) workers() int {
@@ -156,11 +140,10 @@ func (r *Runner) workers() int {
 	return r.Parallel
 }
 
-// Run expands the spec and executes every cell the manifest does not
-// already mark complete, streaming records to results.jsonl in cell order
-// (the Sink's reorder buffer makes the file byte-identical for any worker
-// count), appending manifest lines as cells finish, and rewriting the
-// BENCH_*.json aggregates at the end.
+// Run expands the spec and executes every cell results.jsonl does not
+// already record, streaming records to it in cell order (the Sink's
+// reorder buffer makes the file byte-identical for any worker count), and
+// rewriting the BENCH_*.json aggregates at the end.
 func (r *Runner) Run(spec Spec) (Report, error) {
 	p, err := Prepare(r.Dir, spec)
 	if err != nil {

@@ -121,8 +121,8 @@ func TestBudgetChangeReexecutes(t *testing.T) {
 	}
 }
 
-// A run killed between the results flush and the manifest flush (or mid
-// results write) must not leave duplicate or torn records after resume.
+// A run killed mid results write must not leave duplicate or torn records
+// after resume.
 func TestResumeRepairsCrashWindow(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
@@ -130,14 +130,7 @@ func TestResumeRepairsCrashWindow(t *testing.T) {
 	rep := runInto(t, spec, dir, 2)
 
 	results := filepath.Join(dir, ResultsFile)
-	manifest := filepath.Join(dir, ManifestFile)
-	// Simulate the crash: drop the last manifest line and tear the results
-	// tail with a half-written record.
-	mdata := readFile(t, manifest)
-	lines := bytes.Split(bytes.TrimSuffix(mdata, []byte("\n")), []byte("\n"))
-	if err := os.WriteFile(manifest, append(bytes.Join(lines[:len(lines)-1], []byte("\n")), '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Simulate the crash: tear the results tail with a half-written record.
 	whole := readFile(t, results)
 	if err := os.WriteFile(results, append(whole, []byte(`{"cell":"torn`)...), 0o644); err != nil {
 		t.Fatal(err)
@@ -172,22 +165,18 @@ func TestPriorErrorsSurfaceOnResume(t *testing.T) {
 	spec.Sizes = []int{8}
 	runInto(t, spec, dir, 2)
 
-	// Rewrite one completed cell's manifest line as an error, as a failed
-	// earlier run would have recorded it (the manifest drives the done-set).
-	plan, err := Expand(spec)
+	// Rewrite one completed cell's record as an error, as a failed earlier
+	// run would have recorded it (the records drive the done-set).
+	recs, err := ReadRecords(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := plan.Cells[0].ID()
-	path := filepath.Join(dir, ManifestFile)
-	old := []byte(`{"cell":"` + victim + `","status":"` + StatusOK + `"}`)
-	data := readFile(t, path)
-	if !bytes.Contains(data, old) {
-		t.Fatalf("manifest holds no ok line for %s", victim)
+	recs[0].Status = StatusError
+	var data []byte
+	for _, r := range recs {
+		data = append(append(data, MarshalRecord(r)...), '\n')
 	}
-	data = bytes.Replace(data, old,
-		[]byte(`{"cell":"`+victim+`","status":"`+StatusError+`"}`), 1)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ResultsFile), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep := runInto(t, spec, dir, 2)
