@@ -83,56 +83,53 @@ type boostNode struct {
 // Certs implements Prepared. Each repetition is one inner Certs call with
 // the per-lane forks rngs[l].Fork(rep) — the streams the label path hands
 // the inner scheme one lane at a time — and each (lane, port)'s
-// repetitions are then framed into one exactly sized slab.
-func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert) {
+// repetitions are then framed into one slab of the run region: the framed
+// sizes are computed once, into the call region, and the frames written
+// into exactly that many bytes.
+//
+//pls:hotpath
+func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch) {
 	lanes, deg := len(rngs), n.deg
 	// Pass 1: collect every repetition's certificates. Each rep writes a
-	// distinct window of allReps, so all reps stay live for framing.
-	allReps := make([]Cert, n.t*lanes*deg)
-	repOut := make([][]Cert, lanes)
-	repVals := make([]prng.Rand, lanes)
-	repRngs := make([]*prng.Rand, lanes)
-	for l := range repRngs {
-		repRngs[l] = &repVals[l]
-	}
+	// distinct window of reps, so all reps stay live for framing.
+	reps := sc.certs.take(n.t * lanes * deg)
+	repOut, repRngs := sc.lists.take(lanes), sc.streams(lanes)
 	for rep := 0; rep < n.t; rep++ {
 		base := rep * lanes * deg
 		for l, rng := range rngs {
-			repVals[l] = *rng.Fork(uint64(rep))
-			repOut[l] = allReps[base+l*deg : base+(l+1)*deg]
+			*repRngs[l] = *rng.Fork(uint64(rep))
+			repOut[l] = reps[base+l*deg : base+(l+1)*deg]
 		}
-		n.inner.Certs(repRngs, repOut)
+		n.inner.Certs(repRngs, repOut, sc)
 	}
-	// Pass 2: frame each (lane, port)'s repetitions — gamma length prefix
-	// plus payload, rep-major, the exact wire format of Certs.
-	frameBits := func(l, i int) int {
+	// Pass 2: size each (lane, port)'s frame — gamma length prefix plus
+	// payload per repetition, rep-major, the exact wire format of Certs —
+	// then write the frames.
+	sizes := sc.ints.take(lanes * deg)
+	total := 0
+	for k := range sizes {
 		bits := 0
 		for rep := 0; rep < n.t; rep++ {
-			c := allReps[rep*lanes*deg+l*deg+i]
+			c := reps[rep*lanes*deg+k]
 			bits += bitstring.GammaBits(uint64(c.Len())) + c.Len()
 		}
-		return bits
+		sizes[k] = (bits + 7) / 8
+		total += sizes[k]
 	}
-	totalBytes := 0
-	for l := 0; l < lanes; l++ {
-		for i := 0; i < deg; i++ {
-			totalBytes += (frameBits(l, i) + 7) / 8
-		}
-	}
-	slab := make([]byte, totalBytes)
+	slab := sc.run.take(total)
 	var w bitstring.Writer
 	off := 0
-	for l := 0; l < lanes; l++ {
+	for l := range rngs {
 		for i := 0; i < deg; i++ {
-			nb := (frameBits(l, i) + 7) / 8
-			w.ResetInto(slab[off : off : off+nb])
+			k := l*deg + i
+			w.ResetInto(slab[off : off : off+sizes[k]])
 			for rep := 0; rep < n.t; rep++ {
-				c := allReps[rep*lanes*deg+l*deg+i]
+				c := reps[rep*lanes*deg+k]
 				w.WriteGamma(uint64(c.Len()))
 				w.WriteString(c)
 			}
 			out[l][i] = w.TakeString()
-			off += nb
+			off += sizes[k]
 		}
 	}
 }
@@ -141,8 +138,10 @@ func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert) {
 // repetitions per port and answers repetition j of every port as one
 // window of the inner node — conjunction for a one-sided inner scheme,
 // strict majority otherwise.
-func (n *boostNode) Decide(recv [][]Cert) uint64 {
-	return DecideWindows(n.inner, recv, n.deg, n.t, !n.oneSided)
+//
+//pls:hotpath
+func (n *boostNode) Decide(recv [][]Cert, sc *Scratch) uint64 {
+	return DecideWindows(n.inner, recv, n.deg, n.t, !n.oneSided, sc)
 }
 
 func (b *boosted) Decide(view View, own Label, received []Cert) bool {

@@ -254,11 +254,11 @@ func FuzzCompiledPrepared(f *testing.F) {
 		p := s.(core.Preparer).Prepare(view, own)
 		rng := func() *prng.Rand { return prng.New(seed).Fork(uint64(v)) }
 		got := [][]core.Cert{make([]core.Cert, view.Deg)}
-		p.Certs([]*prng.Rand{rng()}, got)
+		p.Certs([]*prng.Rand{rng()}, got, new(core.Scratch))
 		if !certsEqual(got[0], s.Certs(view, own, rng())) {
 			t.Fatal("Prepared.Certs != Certs")
 		}
-		if got, want := p.Decide([][]core.Cert{recv}) == 1, s.Decide(view, own, recv); got != want {
+		if got, want := p.Decide([][]core.Cert{recv}, new(core.Scratch)) == 1, s.Decide(view, own, recv); got != want {
 			t.Fatalf("Prepared.Decide = %v, Decide = %v", got, want)
 		}
 	})

@@ -47,24 +47,30 @@ func PortClass(i, m int) int {
 // total wire bits scale like Σ_k size_k² — strictly falling from deg²
 // at broadcast (m=1) to deg framed singletons at unicast — whereas the
 // CapReplicate fallback is flat in m. m <= 0 returns certs untouched.
-func CapMerge(certs []Cert, m int) []Cert {
+// Each class message is sized first and written into exactly that many
+// bytes of sc's run region, so it lives as long as the certificates of
+// the run it is sent in.
+//
+//pls:hotpath
+func CapMerge(certs []Cert, m int, sc *Scratch) []Cert {
 	if m <= 0 {
 		return certs
 	}
 	deg := len(certs)
-	classes := m
-	if deg < classes {
-		classes = deg
-	}
-	for k := 0; k < classes; k++ {
+	var w bitstring.Writer
+	for k := 0; k < min(m, deg); k++ {
 		size := (deg - k + m - 1) / m
-		var w bitstring.Writer
+		bits := bitstring.GammaBits(uint64(size))
+		for i := k; i < deg; i += m {
+			bits += bitstring.GammaBits(uint64(certs[i].Len())) + certs[i].Len()
+		}
+		w.ResetInto(sc.run.take((bits + 7) / 8))
 		w.WriteGamma(uint64(size))
 		for i := k; i < deg; i += m {
 			w.WriteGamma(uint64(certs[i].Len()))
 			w.WriteString(certs[i])
 		}
-		msg := w.String()
+		msg := w.TakeString()
 		for i := k; i < deg; i += m {
 			certs[i] = msg
 		}

@@ -64,7 +64,7 @@ func TestCapMergeSplitRoundTrip(t *testing.T) {
 		for m := 1; m <= deg+2; m++ {
 			t.Run(fmt.Sprintf("deg=%d/m=%d", deg, m), func(t *testing.T) {
 				orig := makeCerts(deg)
-				merged := core.CapMerge(makeCerts(deg), m)
+				merged := core.CapMerge(makeCerts(deg), m, new(core.Scratch))
 				if len(merged) != deg {
 					t.Fatalf("CapMerge changed arity: %d != %d", len(merged), deg)
 				}
@@ -101,7 +101,7 @@ func TestCapMergeFramesSingletons(t *testing.T) {
 	// m >= deg still frames each certificate: the receiver cannot know the
 	// sender's degree, so the wire format must be uniform for every m >= 1.
 	certs := makeCerts(3)
-	merged := core.CapMerge(makeCerts(3), 7)
+	merged := core.CapMerge(makeCerts(3), 7, new(core.Scratch))
 	for i := range merged {
 		if merged[i].Equal(certs[i]) {
 			t.Fatalf("port %d: singleton class not framed", i)
@@ -115,13 +115,13 @@ func TestCapMergeFramesSingletons(t *testing.T) {
 		}
 	}
 	// m <= 0 is the uncapped identity.
-	if un := core.CapMerge(makeCerts(3), 0); !un[1].Equal(certs[1]) {
+	if un := core.CapMerge(makeCerts(3), 0, new(core.Scratch)); !un[1].Equal(certs[1]) {
 		t.Error("CapMerge(certs, 0) must return certs untouched")
 	}
 }
 
 func TestCapSplitRejectsMalformed(t *testing.T) {
-	merged := core.CapMerge(makeCerts(4), 2)
+	merged := core.CapMerge(makeCerts(4), 2, new(core.Scratch))
 	msg := merged[0]
 	// Truncation mid-member.
 	if _, err := core.CapSplit(msg.Truncate(msg.Len() - 3)); err == nil {
@@ -207,7 +207,7 @@ func (p memberProbe) Decide(_ core.View, _ core.Label, received []core.Cert) boo
 // label path, which unframes one repetition at a time, does, and then
 // hands its inner node the same repetitions in the same order.
 func FuzzCapSplit(f *testing.F) {
-	honest := core.CapMerge(makeCerts(5), 2)[0]
+	honest := core.CapMerge(makeCerts(5), 2, new(core.Scratch))[0]
 	hostile := hostileClassMessage()
 	var boosted bitstring.Writer // three repetitions, framed without a count
 	for _, c := range makeCerts(3) {
@@ -232,7 +232,7 @@ func FuzzCapSplit(f *testing.F) {
 			var byPath, byNode []core.Cert
 			want := core.Boost(memberProbe{&byPath}, reps).Decide(view, core.Label{}, []core.Cert{msg})
 			node := core.Boost(memberProbe{&byNode}, reps).(core.Preparer).Prepare(view, core.Label{})
-			if got := node.Decide([][]core.Cert{{msg}}) == 1; got != want || want && !certsEqual(byNode, byPath) {
+			if got := node.Decide([][]core.Cert{{msg}}, new(core.Scratch)) == 1; got != want || want && !certsEqual(byNode, byPath) {
 				t.Fatalf("t=%d: node reads %d repetitions and votes %v, label path %d and %v", reps, len(byNode), got, len(byPath), want)
 			}
 		}

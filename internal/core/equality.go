@@ -57,8 +57,11 @@ func NewEqualityNode(deg int, sent bitstring.String, vote bool, expect []bitstri
 
 // Certs implements Prepared: the sent string is evaluated at the lanes ×
 // ports points rngs[l].Fork(i) in one EvalMany, and the word codec encodes
-// every certificate into one slab, since all have the same length.
-func (n *EqualityNode) Certs(rngs []*prng.Rand, out [][]Cert) {
+// every certificate into one slab of the run region, since all have the
+// same length.
+//
+//pls:hotpath
+func (n *EqualityNode) Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch) {
 	lanes, deg, p := len(rngs), n.deg, n.lay.p
 	if n.lay.bits == 0 {
 		for l := range rngs {
@@ -66,8 +69,7 @@ func (n *EqualityNode) Certs(rngs []*prng.Rand, out [][]Cert) {
 		}
 		return
 	}
-	buf := make([]uint64, 2*lanes*deg)
-	xs, ys := buf[:lanes*deg], buf[lanes*deg:]
+	xs, ys := sc.words.take(lanes*deg), sc.words.take(lanes*deg)
 	for l, rng := range rngs {
 		for i := 0; i < deg; i++ {
 			xs[l*deg+i] = rng.Fork(uint64(i)).Uint64n(p)
@@ -75,7 +77,7 @@ func (n *EqualityNode) Certs(rngs []*prng.Rand, out [][]Cert) {
 	}
 	n.cache.EvalMany(n.sent, p, xs, ys)
 	size := (n.lay.Bits() + 7) / 8
-	slab := make([]byte, lanes*deg*size)
+	slab := sc.run.take(lanes * deg * size)
 	for l := range rngs {
 		for i := 0; i < deg; i++ {
 			k := l*deg + i
@@ -89,7 +91,9 @@ func (n *EqualityNode) Certs(rngs []*prng.Rand, out [][]Cert) {
 // adversarial input), the run's string is evaluated at all the points in
 // one EvalMany, and a lane survives when every value matches. The slots of
 // a rejected lane hold the point 0: evaluated, they cannot revive it.
-func (n *EqualityNode) Decide(recv [][]Cert) uint64 {
+//
+//pls:hotpath
+func (n *EqualityNode) Decide(recv [][]Cert, sc *Scratch) uint64 {
 	if !n.vote {
 		return 0
 	}
@@ -101,8 +105,7 @@ func (n *EqualityNode) Decide(recv [][]Cert) uint64 {
 		}
 	}
 	w, k := n.width, lanes*n.width
-	buf := make([]uint64, 3*k)
-	xs, ys, got := buf[:k], buf[k:2*k], buf[2*k:]
+	xs, ys, got := sc.words.take(k), sc.words.take(k), sc.words.take(k)
 	for r, run := range n.runs {
 		if live == 0 {
 			break

@@ -39,9 +39,14 @@ type Preparer interface {
 // rngs[l] is the node's stream for lane l (the executors derive it as
 // prng.New(seed+l).Fork(v)), so the coins of a lane are the ones the label
 // path would draw for that trial.
+//
+// Every call draws its buffers from sc, the caller's Scratch: the bytes
+// of the certificates Certs writes from its run region, everything else
+// from its call region (see Scratch for the two lifetimes). A node passes
+// sc on to the nodes it wraps.
 type Prepared interface {
-	Certs(rngs []*prng.Rand, out [][]Cert)
-	Decide(recv [][]Cert) uint64
+	Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch)
+	Decide(recv [][]Cert, sc *Scratch) uint64
 }
 
 // prepare returns r's node for the given view and label: r's own when it
@@ -62,10 +67,12 @@ type LabelPath interface {
 }
 
 // LabelNode is the generic Prepared: it prepares nothing and answers lane
-// l by calling the label path with lane l's coins and strings. A
-// Broadcast node is a deterministic scheme's: it sends its label on every
-// port, the message of a deterministic round, without calling Certs and
-// without allocating.
+// l by calling the label path with lane l's coins and strings. It ignores
+// the scratch, since a label path allocates what it returns: label paths
+// are the oracles, and they stay as the paper states them. A Broadcast
+// node is a deterministic scheme's: it sends its label on every port, the
+// message of a deterministic round, without calling Certs and without
+// allocating.
 type LabelNode struct {
 	Path      LabelPath
 	View      View
@@ -76,7 +83,7 @@ type LabelNode struct {
 // Certs implements Prepared.
 //
 //pls:hotpath
-func (n *LabelNode) Certs(rngs []*prng.Rand, out [][]Cert) {
+func (n *LabelNode) Certs(rngs []*prng.Rand, out [][]Cert, _ *Scratch) {
 	for l, rng := range rngs {
 		row := out[l][:n.View.Deg]
 		if n.Broadcast {
@@ -98,7 +105,7 @@ func (n *LabelNode) Certs(rngs []*prng.Rand, out [][]Cert) {
 // Decide implements Prepared.
 //
 //pls:hotpath
-func (n *LabelNode) Decide(recv [][]Cert) uint64 {
+func (n *LabelNode) Decide(recv [][]Cert, _ *Scratch) uint64 {
 	var mask uint64
 	for l, r := range recv {
 		if n.Path.Decide(n.View, n.Own, r) {

@@ -182,6 +182,7 @@ func TestLanesMatchPerLane(t *testing.T) {
 			for v := range nodes {
 				nodes[v] = p.Prepare(core.ViewOf(tc.cfg, v), tc.labels[v])
 			}
+			var sc core.Scratch // reused dirty across every call, as an executor does
 			for _, lanes := range []int{1, 3, 64} {
 				// Per-lane reference streams and batched streams: trial l at
 				// node v forks prng.New(seed+l).Fork(v), as the executors do.
@@ -205,7 +206,8 @@ func TestLanesMatchPerLane(t *testing.T) {
 							out[l][i] = core.Cert(bitstring.FromBytes([]byte{0xA5, 0x5A}))
 						}
 					}
-					nodes[v].Certs(rngs, out)
+					sc.ResetRun()
+					nodes[v].Certs(rngs, out, &sc)
 					for l := 0; l < lanes; l++ {
 						for i := 0; i < view.Deg; i++ {
 							var ref core.Cert
@@ -236,7 +238,8 @@ func TestLanesMatchPerLane(t *testing.T) {
 								recv[l][0] = recv[l][0].Truncate(recv[l][0].Len() / 2)
 							}
 						}
-						got := nodes[v].Decide(recv)
+						sc.ResetCall()
+						got := nodes[v].Decide(recv, &sc)
 						for l := 0; l < lanes; l++ {
 							ref := tc.scheme.Decide(view, tc.labels[v], recv[l])
 							if ref != (got&(1<<uint(l)) != 0) {

@@ -60,15 +60,19 @@ func readMembers(r *bitstring.Reader, out []Cert, slab []byte) ([]byte, error) {
 // one when it has no ports. Windows of any lanes go to inner up to 64 per
 // call. A lane accepts when all its windows do, or, under majority, when a
 // strict majority of them does. A call reads all its members into one
-// slab, and the windows are views of them.
-func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool) uint64 {
+// slab, and the windows are views of them. Every buffer comes from sc's
+// call region, which the inner calls draw from too.
+//
+//pls:hotpath
+func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool, sc *Scratch) uint64 {
 	lanes := len(recv)
 	var wins, accepts [64]int // per lane: windows (0 rejects the lane), and windows accepted
 	// Pass 1: count every list's members into offs[k+1] and size the slab:
 	// a member of n ≤ L bits takes at most (n+7)/8 bytes, so an L-bit list
 	// of size members needs at most (L + 7·size)/8.
 	var r bitstring.Reader
-	offs := make([]int, lanes*deg+1)
+	offs := sc.ints.take(lanes*deg + 1)
+	clear(offs)
 	total, slabBytes := 0, 0
 	for l, msgs := range recv {
 		if len(msgs) != deg {
@@ -92,8 +96,8 @@ func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool)
 	}
 	// Pass 2: read the members. One inner call's windows follow them.
 	members := offs[lanes*deg]
-	certs := make([]Cert, members+min(total, 64)*deg)
-	slab := make([]byte, slabBytes)
+	certs := sc.certs.take(members + min(total, 64)*deg)
+	slab := sc.bytes.take(slabBytes)
 	for l, msgs := range recv {
 		for i := 0; i < deg && wins[l] > 0; i++ {
 			r.Reset(msgs[i])
@@ -108,7 +112,7 @@ func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool)
 		}
 	}
 	// Pass 3: answer the windows.
-	batch := make([][]Cert, min(total, 64))
+	batch := sc.lists.take(min(total, 64))
 	var owner [64]int
 	b := 0
 	for l := range lanes {
@@ -120,7 +124,7 @@ func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool)
 			}
 			batch[b], owner[b] = w, l
 			if b, total = b+1, total-1; b == len(batch) || total == 0 {
-				mask := inner.Decide(batch[:b])
+				mask := inner.Decide(batch[:b], sc)
 				for v, o := range owner[:b] {
 					accepts[o] += int(mask >> uint(v) & 1)
 				}

@@ -1,21 +1,25 @@
 package engine_test
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"rpls/internal/core"
 	"rpls/internal/engine"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
+	"rpls/internal/schemes/mst"
 	"rpls/internal/schemes/uniform"
 )
 
-// The batched executor's performance contract, asserted dynamically: a
+// The lane loop's performance contract, asserted dynamically: a
 // deterministic round stays zero-alloc once warm (the //pls:hotpath
-// static half is plsvet's hotalloc analyzer), the wide lanes amortize the
-// nodes' per-call allocations across a whole batch, and batching actually
-// delivers a wall-clock multiple over Sequential's one-lane batches on
-// the estimator workload the E14/E15 benchmarks are built from.
+// static half is plsvet's hotalloc analyzer), a warm estimate allocates
+// nothing per trial on either executor, the executors keep their worker
+// clones, and batching actually delivers a wall-clock multiple over
+// Sequential's one-lane batches on the estimator workload the E14/E15
+// benchmarks are built from.
 
 // TestBatchedRoundAllocs mirrors TestSequentialRoundAllocs for Batched: a
 // deterministic scheme's label-broadcast nodes live in reused scratch, so
@@ -57,19 +61,93 @@ func batchedWorkload(t testing.TB, exec engine.Executor, trials int) engine.Summ
 	return sum
 }
 
-// TestBatchedAllocAmortization asserts the point of the bit-plane batch:
-// certificate framing allocates per slab, not per (trial, node, port), so
-// a 64-trial estimate under Batched must spend well under half of
-// Sequential's allocations for the same workload (in practice it is far
-// lower; the bound leaves room for runtime noise).
-func TestBatchedAllocAmortization(t *testing.T) {
-	const trials = 64
-	seqExec := engine.NewSequential()
-	batExec := engine.NewBatched()
-	seq := testing.AllocsPerRun(5, func() { batchedWorkload(t, seqExec, trials) })
-	bat := testing.AllocsPerRun(5, func() { batchedWorkload(t, batExec, trials) })
-	if bat > seq/2 {
-		t.Fatalf("batched estimate allocates %v times vs sequential %v; want < half", bat, seq)
+// TestEstimateAllocsFlatInTrials is the no-allocation contract of the
+// lane loop: every node borrows its buffers from the executor's scratch,
+// so once an executor is warm a 256-trial estimate allocates no more often
+// than a 64-trial one. What an estimate still allocates — the prepared
+// nodes, the outcome slice, the worker list — is per estimate, not per
+// trial. The cases cover every node shape that draws from the scratch:
+// the equality node (uniform rand, compiled MST), Boost's node, and the
+// cap node's merge path through DecideWindows (uniform at m = 1).
+func TestEstimateAllocsFlatInTrials(t *testing.T) {
+	uni, err := conformanceFixtures["uniform"]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mstFx, err := conformanceFixtures["mst"]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		s    engine.Scheme
+		cfg  *graph.Config
+		m    int
+	}{
+		{"uniform/rand", engine.FromRPLS(uniform.NewRPLS()), uni.legal, 0},
+		{"mst/compiled", engine.FromRPLS(mst.NewRPLS()), mstFx.legal, 0},
+		{"boost2-uniform", engine.FromRPLS(core.Boost(uniform.NewRPLS(), 2)), uni.legal, 0},
+		{"uniform/rand/m=1", engine.FromRPLS(uniform.NewRPLS()), uni.legal, 1},
+	}
+	for _, tc := range cases {
+		labels, err := tc.s.Label(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s prover: %v", tc.name, err)
+		}
+		for _, name := range engine.ExecutorNames() {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				exec, err := engine.NewExecutor(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				estimate := func(trials int) {
+					if _, err := engine.Estimate(tc.s, tc.cfg, engine.WithLabels(labels),
+						engine.WithTrials(trials), engine.WithSeed(5), engine.WithExecutor(exec),
+						engine.WithParallelism(1), engine.WithMultiplicity(tc.m)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				estimate(256) // warm the plane and the scratch
+				few := testing.AllocsPerRun(5, func() { estimate(64) })
+				many := testing.AllocsPerRun(5, func() { estimate(256) })
+				if many > few {
+					t.Fatalf("warm estimate allocates %v times at 256 trials vs %v at 64; want no growth with trials", many, few)
+				}
+			})
+		}
+	}
+}
+
+// TestEstimateKeepsWorkerClones: an executor keeps the worker clones the
+// estimator draws from it, so a repeated two-worker estimate reuses the
+// second worker's plane and scratch instead of growing fresh ones. Without
+// the kept clone, every estimate would allocate at least that worker's
+// 64-lane plane.
+func TestEstimateKeepsWorkerClones(t *testing.T) {
+	cfg := graph.NewConfig(graph.RandomTree(256, prng.New(4)))
+	s := engine.FromRPLS(uniform.NewRPLS())
+	labels, err := s.Label(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := engine.NewBatched()
+	estimate := func() {
+		if _, err := engine.Estimate(s, cfg, engine.WithLabels(labels), engine.WithTrials(256),
+			engine.WithSeed(5), engine.WithExecutor(exec), engine.WithParallelism(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	estimate() // warm both workers
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		estimate()
+	}
+	runtime.ReadMemStats(&after)
+	plane := uint64(64 * 2 * cfg.G.M() * int(unsafe.Sizeof(core.Cert{})))
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= plane {
+		t.Fatalf("warm two-worker estimate allocates %d bytes, at least one worker's %d-byte plane", perRun, plane)
 	}
 }
 

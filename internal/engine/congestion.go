@@ -57,14 +57,17 @@ func (w capScheme) Label(c *graph.Config) ([]core.Label, error) { return w.inner
 func (w capScheme) Deterministic() bool                         { return false }
 func (w capScheme) OneSided() bool                              { return w.inner.OneSided() }
 
+// Certs is the label path: the cap node around the inner label path, one
+// lane wide, on a scratch of its own, which the certificates returned
+// keep.
 func (w capScheme) Certs(view core.View, own core.Label, rng *prng.Rand) []core.Cert {
 	out := [][]core.Cert{make([]core.Cert, view.Deg)}
-	w.labelNode(view, own).Certs([]*prng.Rand{rng}, out)
+	w.labelNode(view, own).Certs([]*prng.Rand{rng}, out, new(core.Scratch))
 	return out[0]
 }
 
 func (w capScheme) Decide(view core.View, own core.Label, received []core.Cert) bool {
-	return w.labelNode(view, own).Decide([][]core.Cert{received}) != 0
+	return w.labelNode(view, own).Decide([][]core.Cert{received}, new(core.Scratch)) != 0
 }
 
 // labelNode is the cap around the inner scheme's label path at one node.
@@ -89,14 +92,14 @@ type capNode struct {
 }
 
 // Certs implements core.Prepared: the inner node's strings, degraded lane
-// by lane.
+// by lane. Merged class messages are written into sc's run region.
 //
 //pls:hotpath
-func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert) {
-	n.inner.Certs(rngs, out)
+func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert, sc *core.Scratch) {
+	n.inner.Certs(rngs, out, sc)
 	for l := range rngs {
 		if n.merge {
-			core.CapMerge(out[l][:n.deg], n.m)
+			core.CapMerge(out[l][:n.deg], n.m, sc)
 		} else {
 			core.CapReplicate(out[l][:n.deg], n.m)
 		}
@@ -108,11 +111,13 @@ func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert) {
 // arrived. A merged round is answered by core.DecideWindows over each
 // class message's CapMerge member list (count 0: the list's leading gamma
 // code gives its size), and a lane accepts when every window does.
-func (n *capNode) Decide(recv [][]core.Cert) uint64 {
+//
+//pls:hotpath
+func (n *capNode) Decide(recv [][]core.Cert, sc *core.Scratch) uint64 {
 	if !n.merge {
-		return n.inner.Decide(recv)
+		return n.inner.Decide(recv, sc)
 	}
-	return core.DecideWindows(n.inner, recv, n.deg, 0, false)
+	return core.DecideWindows(n.inner, recv, n.deg, 0, false, sc)
 }
 
 // distinctCount is the structural distinct-message count of one node in

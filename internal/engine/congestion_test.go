@@ -173,7 +173,7 @@ func merges(t *testing.T, s engine.Scheme, c *graph.Config, labels []core.Label)
 	capped, _ := engine.PrepareNodes(s, 1, c, labels)
 	view := core.ViewOf(c, v)
 	got := capped.Certs(view, labels[v], prng.New(5).Fork(uint64(v)))
-	want := core.CapMerge(s.Certs(view, labels[v], prng.New(5).Fork(uint64(v))), 1)
+	want := core.CapMerge(s.Certs(view, labels[v], prng.New(5).Fork(uint64(v))), 1, new(core.Scratch))
 	for i := range want {
 		if !got[i].Equal(want[i]) {
 			return false

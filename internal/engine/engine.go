@@ -30,9 +30,13 @@
 //     rounds, so the deterministic round allocates nothing (Monte-Carlo
 //     estimation, self-stabilization monitors, benchmarks).
 //   - Batched — up to 64 lanes, for Monte-Carlo throughput: a CSR
-//     adjacency snapshot plus lane-major certificate planes push up to 64
-//     trials through one graph traversal, AND-reducing per-node vote
+//     adjacency snapshot plus a node-major certificate plane push up to
+//     64 trials through one graph traversal, AND-reducing per-node vote
 //     masks. Estimate hands it whole trial chunks.
+//
+// Both lend every node call one core.Scratch per worker, so a warm lane
+// loop allocates nothing, and both keep the worker clones they hand the
+// estimator and Sweep, so a repeated call reuses every worker's storage.
 //
 // A deterministic scheme, sharded or not, runs once per estimate on either
 // executor, since every trial is the same execution.

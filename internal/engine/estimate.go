@@ -139,7 +139,7 @@ func (o *options) estimateLabels(s Scheme, c *graph.Config, labels []core.Label)
 	}
 	obsEstimates.Inc()
 	sp := obs.Begin("engine.estimate")
-	execs := o.shardExecutors()
+	execs := workerExecutors(o.executor(), o.workers())
 	// The prepared nodes live for one estimate only: configurations are
 	// mutated in place between calls, so they are never memoized on the
 	// scheme or the executor.
@@ -210,17 +210,6 @@ scan:
 	sp.A, sp.B = int64(done), int64(accepted)
 	obs.End(sp)
 	return sum
-}
-
-// shardExecutors resolves the worker executors: the caller's executor
-// first, then one clone per extra worker.
-func (o *options) shardExecutors() []Executor {
-	execs := make([]Executor, o.workers())
-	execs[0] = o.executor()
-	for i := 1; i < len(execs); i++ {
-		execs[i] = execs[0].Clone()
-	}
-	return execs
 }
 
 // runTrials executes trials [lo, hi), writing outcome t to out[t-lo].

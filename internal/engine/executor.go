@@ -22,7 +22,12 @@ type Executor interface {
 	Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats)
 	// Clone returns a new executor of the same kind and configuration whose
 	// scratch is independent of the receiver's. The trial-parallel
-	// estimator and Sweep clone the caller's executor once per extra worker.
+	// estimator and Sweep clone the caller's executor once per extra
+	// worker. Sequential and Batched keep the clones they hand out there
+	// and hand the same ones out again on the next call, so a repeated
+	// Estimate or Sweep reuses every worker's scratch; the clones run only
+	// inside calls on their executor, which the one-caller rule already
+	// serializes. Clone itself always returns a fresh executor.
 	Clone() Executor
 }
 
@@ -154,19 +159,24 @@ func (p *prepared) reset(s Scheme, c *graph.Config, labels []core.Label) {
 // kernel is the one lane loop both executors run, with its reused
 // scratch. It snapshots the configuration's adjacency into a CSR layout
 // and runs up to 64 Monte-Carlo trials ("lanes") through one traversal:
-// every node's prepared node writes its lanes' strings straight into a
-// lane-major plane indexed by CSR slot, each lane's plane row is metered,
-// and every node decides all lanes from windows gathered through one
-// RevEdge lookup per (lane, port), AND-reducing per-node vote masks into
-// per-trial acceptance. Lane l of a batch starting at trial t runs node
-// streams prng.New(seed+t+l).Fork(v), so votes and Stats do not depend on
-// the lane width. Sequential runs the loop one lane wide, Batched up to 64.
+// every node's prepared node writes its lanes' strings straight into its
+// own block of a node-major plane, the block is metered lane by lane, and
+// every node decides all lanes from windows gathered through one RevEdge
+// lookup per port, AND-reducing per-node vote masks into per-trial
+// acceptance. Lane l of a batch starting at trial t runs node streams
+// prng.New(seed+t+l).Fork(v), so votes and Stats do not depend on the lane
+// width. Sequential runs the loop one lane wide, Batched up to 64.
+//
+// The loop allocates nothing once warm: the plane, the windows and the
+// scratch every node call borrows (sc) are kept across runs, and grow
+// only when a graph or a call outgrows them.
 type kernel struct {
 	csr      graph.CSR
-	plane    []core.Cert // lane-major send plane: slot e of lane l at [l*slots+e]
-	recv     []core.Cert // lane-major receive windows, maxDeg per lane
+	plane    []core.Cert // node-major send plane: see planeBlock
+	recv     []core.Cert // one node's receive windows, lane l at [l*deg:(l+1)*deg]
 	votes    []bool
-	round    prepared // the nodes of the last Round call, reused
+	round    prepared     // the nodes of the last Round call, reused
+	sc       core.Scratch // lent to every node call
 	rows     [64][]core.Cert
 	windows  [64][]core.Cert
 	rngs     [64]*prng.Rand // rngs[l] points at rngVals[l]
@@ -177,12 +187,38 @@ type kernel struct {
 	// stats[l] its exact Stats.
 	accept uint64
 	stats  [64]Stats
+
+	// clones are the worker executors this kernel's executor handed out,
+	// kept for its next Estimate or Sweep (see workerExecutors).
+	clones []Executor
 }
 
 // laneExecutor is implemented by the engine's executors: their lane loop
 // and its widest batch.
 type laneExecutor interface {
 	lanes() (*kernel, int)
+}
+
+// workerExecutors returns n worker executors: e first, then n−1 clones of
+// it. Sequential and Batched keep the clones they hand out, so a repeated
+// call on the same executor reuses every worker's scratch; any other
+// executor is cloned afresh.
+func workerExecutors(e Executor, n int) []Executor {
+	execs := make([]Executor, n)
+	execs[0] = e
+	le, ok := e.(laneExecutor)
+	if !ok {
+		for i := 1; i < n; i++ {
+			execs[i] = e.Clone()
+		}
+		return execs
+	}
+	k, _ := le.lanes()
+	for len(k.clones) < n-1 {
+		k.clones = append(k.clones, e.Clone())
+	}
+	copy(execs[1:], k.clones)
+	return execs
 }
 
 // grow returns s resized to n, reallocating only when n exceeds its
@@ -272,60 +308,83 @@ func (k *kernel) ensure(width int) {
 	}
 }
 
+// planeBlock returns node v's block of a width-lane plane: its width × deg
+// certificates are contiguous from RowStart[v]·width, lane-major inside,
+// so lane l's string on port i sits at l·deg + i. A node's Certs writes
+// one block, and the decide gather reads one block per neighbor.
+//
+//pls:hotpath
+func (k *kernel) planeBlock(v, width int) []core.Cert {
+	return k.plane[k.csr.RowStart[v]*width : k.csr.RowStart[v+1]*width]
+}
+
 // run is the lane loop: width trials, lane l at seed firstSeed+l, through
-// one CSR rebuild, one certificate traversal, one metering scan, and one
-// decide traversal. Every string is metered at its sender as the
-// p.rounds shards of core.Shard's layout; the receiver decides on the
-// whole string, which is bit for bit the round-order concatenation of
-// those shards. When needVotes is set, lane 0's per-node votes land in
-// k.votes.
+// one CSR rebuild, one certificate traversal that meters each node's block
+// as it is written, and one decide traversal. Every string is metered at
+// its sender as the p.rounds shards of core.Shard's layout; the receiver
+// decides on the whole string, which is bit for bit the round-order
+// concatenation of those shards. When needVotes is set, lane 0's per-node
+// votes land in k.votes. The scratch's run region is reset once, here,
+// and its call region before each node call.
 //
 //pls:hotpath
 func (k *kernel) run(p *prepared, c *graph.Config, labels []core.Label, firstSeed uint64, width int, needVotes bool) {
 	k.csr.Reset(c.G)
 	k.ensure(width)
+	k.sc.ResetRun()
 	n, slots := k.csr.N(), k.csr.Slots()
 	rngs, rows, windows := k.rngs[:width], k.rows[:width], k.windows[:width]
 	for l := range rngs {
 		k.rootVals[l] = *prng.New(firstSeed + uint64(l))
 	}
 
-	distinct := int64(0)
-	for v := 0; v < n; v++ {
-		base, deg := k.csr.RowStart[v], k.csr.Degree(v)
-		for l := range rngs {
-			k.rngVals[l] = *k.rootVals[l].Fork(uint64(v))
-			rows[l] = k.plane[l*slots+base : l*slots+base+deg]
-		}
-		p.nodes[v].Certs(rngs, rows)
-		distinct += distinctCount(p.det, p.mult, deg)
-	}
-
 	// The structural distinct-message count is lane-invariant: it depends
 	// on degrees and the cap, not on coins.
+	distinct := int64(0)
+	for v := 0; v < n; v++ {
+		distinct += distinctCount(p.det, p.mult, k.csr.Degree(v))
+	}
 	st0 := Stats{Rounds: p.rounds, MaxLabelBits: core.MaxBits(labels),
 		Messages: p.rounds * slots, DistinctMessages: int64(p.rounds) * distinct}
-	for l := 0; l < width; l++ {
-		st := st0
-		for _, cert := range k.plane[l*slots : (l+1)*slots] {
-			st.meterShards(cert.Len(), p.rounds)
+	stats := k.stats[:width]
+	for l := range stats {
+		stats[l] = st0
+	}
+
+	for v := 0; v < n; v++ {
+		deg, block := k.csr.Degree(v), k.planeBlock(v, width)
+		for l := range rngs {
+			k.rngVals[l] = *k.rootVals[l].Fork(uint64(v))
+			rows[l] = block[l*deg : (l+1)*deg]
 		}
-		k.stats[l] = st
+		k.sc.ResetCall()
+		p.nodes[v].Certs(rngs, rows, &k.sc)
+		for l, row := range rows {
+			for _, cert := range row {
+				stats[l].meterShards(cert.Len(), p.rounds)
+			}
+		}
 	}
 
 	accept := core.LaneMask(width)
-	maxDeg := len(k.recv) / width
 	for v := 0; v < n; v++ {
 		base, deg := k.csr.RowStart[v], k.csr.Degree(v)
-		for l := range windows {
-			w := k.recv[l*maxDeg : l*maxDeg+deg]
-			lanePlane := k.plane[l*slots : (l+1)*slots]
-			for i := range w {
-				w[i] = lanePlane[k.csr.RevEdge[base+i]]
+		recv := k.recv[:width*deg]
+		for i := 0; i < deg; i++ {
+			// The string arriving on port i left the neighbor u on the
+			// slot RevEdge[base+i], port j of u's block.
+			u := k.csr.EdgeTo[base+i]
+			j, ud := k.csr.RevEdge[base+i]-k.csr.RowStart[u], k.csr.Degree(u)
+			src := k.planeBlock(u, width)
+			for l := 0; l < width; l++ {
+				recv[l*deg+i] = src[l*ud+j]
 			}
-			windows[l] = w
 		}
-		mask := p.nodes[v].Decide(windows)
+		for l := range windows {
+			windows[l] = recv[l*deg : (l+1)*deg]
+		}
+		k.sc.ResetCall()
+		mask := p.nodes[v].Decide(windows, &k.sc)
 		accept &= mask
 		if needVotes {
 			k.votes[v] = mask&1 != 0

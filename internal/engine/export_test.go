@@ -7,8 +7,13 @@ import (
 )
 
 // PreparedNodes is a scheme prepared as the executors prepare it, for the
-// tests that check every node against the label path.
-type PreparedNodes struct{ p prepared }
+// tests that check every node against the label path. Like an executor,
+// it lends every call one Scratch, reset but never cleared, so a node
+// that reads scratch it did not write in the same call sees stale bytes.
+type PreparedNodes struct {
+	p  prepared
+	sc core.Scratch
+}
 
 // PrepareNodes caps s at multiplicity m (0: uncapped) as the validated
 // entry points do, prepares it for c and labels, and returns the capped
@@ -21,12 +26,15 @@ func PrepareNodes(s Scheme, m int, c *graph.Config, labels []core.Label) (Scheme
 }
 
 // Certs runs node v's send step, the cap's degradation included, on the
-// given lanes.
+// given lanes, as a run of one node: the certificates it writes are valid
+// until the next Certs call.
 func (n *PreparedNodes) Certs(v int, rngs []*prng.Rand, out [][]core.Cert) {
-	n.p.nodes[v].Certs(rngs, out)
+	n.sc.ResetRun()
+	n.p.nodes[v].Certs(rngs, out, &n.sc)
 }
 
 // Decide runs node v's vote on the given lanes.
 func (n *PreparedNodes) Decide(v int, recv [][]core.Cert) uint64 {
-	return n.p.nodes[v].Decide(recv)
+	n.sc.ResetCall()
+	return n.p.nodes[v].Decide(recv, &n.sc)
 }

@@ -202,13 +202,12 @@ func Sweep(scheme func(c *graph.Config) (Scheme, error), build func(n int, seed 
 	}
 	var wg sync.WaitGroup
 	wg.Add(w)
+	execs := workerExecutors(o.executor(), w)
 	for i := 0; i < w; i++ {
 		// Each worker owns one executor and runs its points' trials serially.
 		po := o
 		po.parallelism = 1
-		if i > 0 {
-			po.exec = o.executor().Clone()
-		}
+		po.exec = execs[i]
 		go func(i int, po options) {
 			defer wg.Done()
 			for idx := i; idx < len(sizes); idx += w {
