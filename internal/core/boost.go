@@ -85,7 +85,8 @@ type boostNode struct {
 // the inner scheme one lane at a time — and each (lane, port)'s
 // repetitions are then framed into one slab of the run region: the framed
 // sizes are computed once, into the call region, and the frames written
-// into exactly that many bytes.
+// into exactly that many bytes. Each inner call gives back the call
+// region it took; its certificates live in the run region.
 //
 //pls:hotpath
 func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch) {
@@ -94,6 +95,7 @@ func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch) {
 	// distinct window of reps, so all reps stay live for framing.
 	reps := sc.certs.take(n.t * lanes * deg)
 	repOut, repRngs := sc.lists.take(lanes), sc.streams(lanes)
+	mark := sc.mark()
 	for rep := 0; rep < n.t; rep++ {
 		base := rep * lanes * deg
 		for l, rng := range rngs {
@@ -101,6 +103,7 @@ func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch) {
 			repOut[l] = reps[base+l*deg : base+(l+1)*deg]
 		}
 		n.inner.Certs(repRngs, repOut, sc)
+		sc.release(mark)
 	}
 	// Pass 2: size each (lane, port)'s frame — gamma length prefix plus
 	// payload per repetition, rep-major, the exact wire format of Certs —

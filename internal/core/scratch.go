@@ -17,7 +17,10 @@ import "rpls/internal/prng"
 //     values, framing sizes, parsed members, windows and batches, and
 //     repetition streams. The executor resets it before each node call
 //     (ResetCall). A wrapper and the inner node it calls draw from the
-//     same call region within one call.
+//     same call region within one call. A wrapper that calls its inner
+//     node more than once gives back what each inner call took as soon
+//     as it returns (mark, release), so a call holds its own buffers and
+//     one inner call's, never the sum of all its inner calls'.
 //
 // A region that runs short moves to a larger buffer and leaves the slices
 // it already handed out valid, so the regions grow to the widest run and
@@ -50,8 +53,28 @@ func (s *Scratch) ResetRun() {
 //
 //pls:hotpath
 func (s *Scratch) ResetCall() {
-	s.words.off, s.ints.off, s.bytes.off, s.certs.off = 0, 0, 0, 0
-	s.lists.off, s.rands.off, s.rngs.off = 0, 0, 0
+	s.release(callMark{})
+}
+
+// callMark is how far each buffer of the call region is handed out.
+type callMark struct{ words, ints, bytes, certs, lists, rands, rngs int }
+
+// mark returns the call region's fill, for release to return to.
+//
+//pls:hotpath
+func (s *Scratch) mark() callMark {
+	return callMark{s.words.off, s.ints.off, s.bytes.off, s.certs.off, s.lists.off, s.rands.off, s.rngs.off}
+}
+
+// release gives back everything the call region handed out since m was
+// marked; the slices handed out before m stay valid. A region that grew
+// since m moved to a buffer at least as long as m's fill, whose front it
+// then leaves unused.
+//
+//pls:hotpath
+func (s *Scratch) release(m callMark) {
+	s.words.off, s.ints.off, s.bytes.off, s.certs.off = m.words, m.ints, m.bytes, m.certs
+	s.lists.off, s.rands.off, s.rngs.off = m.lists, m.rands, m.rngs
 }
 
 // streams returns n pointers to n distinct streams of the call region.

@@ -61,7 +61,8 @@ func readMembers(r *bitstring.Reader, out []Cert, slab []byte) ([]byte, error) {
 // call. A lane accepts when all its windows do, or, under majority, when a
 // strict majority of them does. A call reads all its members into one
 // slab, and the windows are views of them. Every buffer comes from sc's
-// call region, which the inner calls draw from too.
+// call region, and each inner call gives back what it took there, so a
+// lane of many windows costs one inner call's buffers, not one per call.
 //
 //pls:hotpath
 func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool, sc *Scratch) uint64 {
@@ -113,6 +114,7 @@ func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool,
 	}
 	// Pass 3: answer the windows.
 	batch := sc.lists.take(min(total, 64))
+	mark := sc.mark()
 	var owner [64]int
 	b := 0
 	for l := range lanes {
@@ -125,6 +127,7 @@ func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool,
 			batch[b], owner[b] = w, l
 			if b, total = b+1, total-1; b == len(batch) || total == 0 {
 				mask := inner.Decide(batch[:b], sc)
+				sc.release(mark)
 				for v, o := range owner[:b] {
 					accepts[o] += int(mask >> uint(v) & 1)
 				}

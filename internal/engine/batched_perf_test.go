@@ -151,6 +151,45 @@ func TestEstimateKeepsWorkerClones(t *testing.T) {
 	}
 }
 
+// TestMergedScratchHoldsOneInnerCall checks that DecideWindows' inner
+// calls give their call scratch back. On a double star — two hubs of 127
+// leaves each, joined by an edge — a merged (m = 1) hub reads the other
+// hub's 128-member class message, so each of its lanes answers deg = 128
+// windows of deg ports, 64 windows per inner call. One inner equality
+// call takes 3·64·deg words; all of a hub's inner calls together take
+// 3·deg² words per lane, while the hub's members and windows are
+// O(lanes·deg). So a cold 64-lane estimate, scratch growth included, must
+// allocate less than lanes·deg² words.
+func TestMergedScratchHoldsOneInnerCall(t *testing.T) {
+	const deg = 128
+	g := graph.New(2 * deg)
+	g.MustAddEdge(0, 1)
+	for v := 2; v < g.N(); v++ {
+		g.MustAddEdge(v%2, v)
+	}
+	cfg := graph.NewConfig(g)
+	s := engine.FromRPLS(uniform.NewRPLS())
+	labels, err := s.Label(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum, err := engine.Estimate(s, cfg, engine.WithLabels(labels), engine.WithTrials(64),
+		engine.WithSeed(5), engine.WithExecutor(engine.NewBatched()),
+		engine.WithParallelism(1), engine.WithMultiplicity(1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Acceptance != 1 {
+		t.Fatalf("merged uniform estimate on a legal double star accepts %v, want 1", sum.Acceptance)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*deg*deg*8); got >= bound {
+		t.Fatalf("cold merged estimate allocates %d bytes, not under 64·deg² words (%d bytes): inner calls' scratch adds up", got, bound)
+	}
+}
+
 // batchedSpeedupFloor is the asserted Sequential/Batched wall-clock ratio.
 // The E14/E15 benchgate targets claim ≥10x against the pre-batching
 // baseline; executor-vs-executor on identical code the conservative floor
