@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
@@ -237,6 +238,47 @@ func FuzzCapSplit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// windowCounter is an inner node that accepts every window and counts
+// them.
+type windowCounter struct{ windows *int }
+
+func (windowCounter) Certs([]*prng.Rand, [][]core.Cert, *core.Scratch) {}
+
+func (c windowCounter) Decide(recv [][]core.Cert, _ *core.Scratch) uint64 {
+	*c.windows += len(recv)
+	return core.LaneMask(len(recv))
+}
+
+// TestDecideWindowsHoldsOneGroup: DecideWindows reads the members of one
+// group of lanes at a time — at most 64 windows, or one lane with more —
+// and gives them back before it reads the next group. On 64 lanes of deg
+// class messages of size members each, every lane is a group of size
+// windows, so a cold call allocates for about one lane's deg·size members,
+// not for all lanes·deg·size of them.
+func TestDecideWindowsHoldsOneGroup(t *testing.T) {
+	const lanes, deg, size = 64, 64, 64
+	msg := core.CapMerge(makeCerts(size), 1, new(core.Scratch))[0]
+	recv := make([][]core.Cert, lanes)
+	for l := range recv {
+		recv[l] = make([]core.Cert, deg)
+		for i := range recv[l] {
+			recv[l][i] = msg
+		}
+	}
+	windows := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	votes := core.DecideWindows(windowCounter{&windows}, recv, deg, 0, false, new(core.Scratch))
+	runtime.ReadMemStats(&after)
+	if votes != core.LaneMask(lanes) || windows != lanes*size {
+		t.Fatalf("votes %#x over %d windows, want %#x over %d", votes, windows, core.LaneMask(lanes), lanes*size)
+	}
+	all := uint64(lanes * deg * size * int(unsafe.Sizeof(core.Cert{})))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= all/8 {
+		t.Fatalf("cold call allocates %d bytes, not under an eighth of all lanes' members (%d bytes)", got, all)
+	}
 }
 
 func TestCapReplicateElectsMaxLength(t *testing.T) {

@@ -57,24 +57,27 @@ func readMembers(r *bitstring.Reader, out []Cert, slab []byte) ([]byte, error) {
 // Every other lane is answered through inner on member windows: window j
 // carries member min(j, size−1) of every port's list, so every member meets
 // its port's check, and a lane has as many windows as its longest list —
-// one when it has no ports. Windows of any lanes go to inner up to 64 per
-// call. A lane accepts when all its windows do, or, under majority, when a
-// strict majority of them does. A call reads all its members into one
-// slab, and the windows are views of them. Every buffer comes from sc's
-// call region, and each inner call gives back what it took there, so a
-// lane of many windows costs one inner call's buffers, not one per call.
+// one when it has no ports. A lane accepts when all its windows do, or,
+// under majority, when a strict majority of them does. The lanes are
+// answered group by group: a run of lanes with at most 64 windows in all,
+// or one lane with more. A group's members are read into one slab, its
+// windows are views of them and go to inner up to 64 per call. Every
+// buffer comes from sc's call region; each inner call gives back what it
+// took there, and each group what it read, so a call holds one group's
+// members and one inner call's buffers, not every lane's and every call's.
 //
 //pls:hotpath
 func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool, sc *Scratch) uint64 {
 	lanes := len(recv)
-	var wins, accepts [64]int // per lane: windows (0 rejects the lane), and windows accepted
-	// Pass 1: count every list's members into offs[k+1] and size the slab:
-	// a member of n ≤ L bits takes at most (n+7)/8 bytes, so an L-bit list
-	// of size members needs at most (L + 7·size)/8.
+	// Per lane: windows (0 rejects the lane), windows accepted, slab bytes.
+	var wins, accepts, slabBytes [64]int
+	// Pass 1: count every list's members into offs[k+1] and size each
+	// lane's slab: a member of n ≤ L bits takes at most (n+7)/8 bytes, so
+	// an L-bit list of size members needs at most (L + 7·size)/8.
 	var r bitstring.Reader
 	offs := sc.ints.take(lanes*deg + 1)
 	clear(offs)
-	total, slabBytes := 0, 0
+	total := 0
 	for l, msgs := range recv {
 		if len(msgs) != deg {
 			continue
@@ -88,52 +91,61 @@ func DecideWindows(inner Prepared, recv [][]Cert, deg, count int, majority bool,
 				break
 			}
 			offs[l*deg+i+1], wins[l] = size, max(wins[l], size)
-			slabBytes += (msg.Len()+7*size)/8 + 1
+			slabBytes[l] += (msg.Len()+7*size)/8 + 1
 		}
 		total += wins[l]
 	}
 	for k := range lanes * deg {
 		offs[k+1] += offs[k]
 	}
-	// Pass 2: read the members. One inner call's windows follow them.
-	members := offs[lanes*deg]
-	certs := sc.certs.take(members + min(total, 64)*deg)
-	slab := sc.bytes.take(slabBytes)
-	for l, msgs := range recv {
-		for i := 0; i < deg && wins[l] > 0; i++ {
-			r.Reset(msgs[i])
-			_, err := readCount(&r, count)
-			if err == nil {
-				slab, err = readMembers(&r, certs[offs[l*deg+i]:offs[l*deg+i+1]], slab)
-			}
-			if err != nil || r.Remaining() != 0 {
-				total -= wins[l]
-				wins[l] = 0
-			}
-		}
-	}
-	// Pass 3: answer the windows.
+	// Pass 2, group by group: read the group's members, then answer its
+	// windows. One inner call's windows live in views.
 	batch := sc.lists.take(min(total, 64))
-	mark := sc.mark()
+	views := sc.certs.take(len(batch) * deg)
 	var owner [64]int
-	b := 0
-	for l := range lanes {
-		for j := range wins[l] {
-			w := certs[members+b*deg : members+(b+1)*deg]
-			for i := range w {
-				first, last := offs[l*deg+i], offs[l*deg+i+1]-1
-				w[i] = certs[min(first+j, last)]
-			}
-			batch[b], owner[b] = w, l
-			if b, total = b+1, total-1; b == len(batch) || total == 0 {
-				mask := inner.Decide(batch[:b], sc)
-				sc.release(mark)
-				for v, o := range owner[:b] {
-					accepts[o] += int(mask >> uint(v) & 1)
+	for lo, hi := 0, 0; lo < lanes; lo = hi {
+		pending, bytes := wins[lo], slabBytes[lo]
+		for hi = lo + 1; hi < lanes && pending+wins[hi] <= 64; hi++ {
+			pending, bytes = pending+wins[hi], bytes+slabBytes[hi]
+		}
+		group := sc.mark()
+		base := offs[lo*deg]
+		members := sc.certs.take(offs[hi*deg] - base)
+		slab := sc.bytes.take(bytes)
+		for l := lo; l < hi; l++ {
+			for i := 0; i < deg && wins[l] > 0; i++ {
+				r.Reset(recv[l][i])
+				_, err := readCount(&r, count)
+				if err == nil {
+					slab, err = readMembers(&r, members[offs[l*deg+i]-base:offs[l*deg+i+1]-base], slab)
 				}
-				b = 0
+				if err != nil || r.Remaining() != 0 {
+					pending -= wins[l]
+					wins[l] = 0
+				}
 			}
 		}
+		call := sc.mark()
+		b := 0
+		for l := lo; l < hi; l++ {
+			for j := range wins[l] {
+				w := views[b*deg : (b+1)*deg]
+				for i := range w {
+					first, last := offs[l*deg+i]-base, offs[l*deg+i+1]-base-1
+					w[i] = members[min(first+j, last)]
+				}
+				batch[b], owner[b] = w, l
+				if b, pending = b+1, pending-1; b == len(batch) || pending == 0 {
+					mask := inner.Decide(batch[:b], sc)
+					sc.release(call)
+					for v, o := range owner[:b] {
+						accepts[o] += int(mask >> uint(v) & 1)
+					}
+					b = 0
+				}
+			}
+		}
+		sc.release(group)
 	}
 	var votes uint64
 	for l := range lanes {

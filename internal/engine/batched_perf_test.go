@@ -159,7 +159,8 @@ func TestEstimateKeepsWorkerClones(t *testing.T) {
 // call takes 3·64·deg words; all of a hub's inner calls together take
 // 3·deg² words per lane, while the hub's members and windows are
 // O(lanes·deg). So a cold 64-lane estimate, scratch growth included, must
-// allocate less than lanes·deg² words.
+// allocate less than lanes·deg² words. Boost's node under the cap nests
+// a second DecideWindows, whose inner calls must give theirs back too.
 func TestMergedScratchHoldsOneInnerCall(t *testing.T) {
 	const deg = 128
 	g := graph.New(2 * deg)
@@ -168,25 +169,27 @@ func TestMergedScratchHoldsOneInnerCall(t *testing.T) {
 		g.MustAddEdge(v%2, v)
 	}
 	cfg := graph.NewConfig(g)
-	s := engine.FromRPLS(uniform.NewRPLS())
-	labels, err := s.Label(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sum, err := engine.Estimate(s, cfg, engine.WithLabels(labels), engine.WithTrials(64),
-		engine.WithSeed(5), engine.WithExecutor(engine.NewBatched()),
-		engine.WithParallelism(1), engine.WithMultiplicity(1))
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Acceptance != 1 {
-		t.Fatalf("merged uniform estimate on a legal double star accepts %v, want 1", sum.Acceptance)
-	}
-	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*deg*deg*8); got >= bound {
-		t.Fatalf("cold merged estimate allocates %d bytes, not under 64·deg² words (%d bytes): inner calls' scratch adds up", got, bound)
+	for _, r := range []core.RPLS{uniform.NewRPLS(), core.Boost(uniform.NewRPLS(), 2)} {
+		s := engine.FromRPLS(r)
+		labels, err := s.Label(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sum, err := engine.Estimate(s, cfg, engine.WithLabels(labels), engine.WithTrials(64),
+			engine.WithSeed(5), engine.WithExecutor(engine.NewBatched()),
+			engine.WithParallelism(1), engine.WithMultiplicity(1))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Acceptance != 1 {
+			t.Fatalf("%s: merged estimate on a legal double star accepts %v, want 1", r.Name(), sum.Acceptance)
+		}
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*deg*deg*8); got >= bound {
+			t.Fatalf("%s: cold merged estimate allocates %d bytes, not under 64·deg² words (%d bytes): inner calls' scratch adds up", r.Name(), got, bound)
+		}
 	}
 }
 
