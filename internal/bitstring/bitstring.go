@@ -29,8 +29,7 @@ func FromBytes(b []byte) String {
 }
 
 // FromBits builds a String from individual bits: bit i is the low bit of
-// bits[i]. It packs bytes directly, since the soundness game's adversaries
-// build every label of every assignment through it.
+// bits[i].
 func FromBits(bits []byte) String {
 	d := make([]byte, (len(bits)+7)/8)
 	for i, b := range bits {
@@ -98,6 +97,17 @@ func (s String) Bit(i int) byte {
 		panic(fmt.Sprintf("bitstring: bit index %d out of range [0,%d)", i, s.n))
 	}
 	return (s.data[i>>3] >> (7 - uint(i&7))) & 1
+}
+
+// FlipBit returns a copy of s with bit i inverted. It panics if i is out
+// of range, like Bit.
+func (s String) FlipBit(i int) String {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("bitstring: bit index %d out of range [0,%d)", i, s.n))
+	}
+	d := s.Bytes()
+	d[i>>3] ^= 1 << (7 - uint(i&7))
+	return String{data: d, n: s.n}
 }
 
 // Equal reports whether two strings have identical length and content.
@@ -275,15 +285,44 @@ func (w *Writer) WriteInt(v int64, width int) {
 	w.WriteUint(uint64(v), width)
 }
 
-// WriteString appends another bit string, byte-wise.
+// WriteString appends another bit string. A byte-aligned writer appends
+// s's bytes as they are; otherwise s is shift-merged 64 bits at a time.
+// Certificate framing (Boost's repetitions, a cap's class messages) calls
+// it on every string of every trial.
 func (w *Writer) WriteString(s String) {
-	full := s.n >> 3
-	for i := 0; i < full; i++ {
-		w.writeBits(uint64(s.data[i]), 8)
+	nb := (s.n + 7) / 8
+	if w.n&7 == 0 {
+		w.data = append(w.data, s.data[:nb]...)
+		if rem := uint(s.n & 7); rem != 0 {
+			w.data[len(w.data)-1] &= byte(0xFF) << (8 - rem)
+		}
+		w.n += s.n
+		return
 	}
-	if rem := s.n & 7; rem != 0 {
-		w.writeBits(uint64(s.data[full]>>(8-uint(rem))), rem)
+	i := 0
+	for ; 8*(i+8) <= s.n; i += 8 {
+		w.mergeWord(binary.BigEndian.Uint64(s.data[i:]), 64)
 	}
+	if k := s.n - 8*i; k > 0 {
+		var b [8]byte
+		copy(b[:], s.data[i:nb])
+		w.mergeWord(binary.BigEndian.Uint64(b[:])&^(^uint64(0)>>uint(k)), k)
+	}
+}
+
+// mergeWord appends the first k bits (1 ≤ k ≤ 64) of the left-aligned
+// word v, whose other bits are zero, to a writer that is not byte-aligned:
+// the top bits of v fill the writer's last byte and the rest follow in
+// whole bytes.
+func (w *Writer) mergeWord(v uint64, k int) {
+	off := uint(w.n & 7)
+	w.data[len(w.data)-1] |= byte(v >> (56 + off))
+	if rest := k - int(8-off); rest > 0 {
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], v<<(8-off))
+		w.data = append(w.data, b[:(rest+7)/8]...)
+	}
+	w.n += k
 }
 
 // WriteBytes appends 8*len(b) bits.

@@ -260,6 +260,59 @@ func TestFromBitsMatchesWriter(t *testing.T) {
 	}
 }
 
+// TestWriteStringMatchesWriteBit: WriteString appends bytes on a
+// byte-aligned writer and shift-merges words on any other, and must give
+// exactly what writing the string bit by bit gives, at every writer offset
+// 0–7 and string length 0–200, including the bits written after it.
+func TestWriteStringMatchesWriteBit(t *testing.T) {
+	bit := func(i, salt int) byte { return byte((i*i*7 + i*13 + salt*29) >> 2) }
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= 200; n++ {
+			in := make([]byte, n)
+			for i := range in {
+				in[i] = bit(i, n+off)
+			}
+			src := FromBits(in)
+			var got, want Writer
+			for i := 0; i < off; i++ {
+				got.WriteBit(bit(i, off))
+				want.WriteBit(bit(i, off))
+			}
+			got.WriteString(src)
+			for _, b := range in {
+				want.WriteBit(b)
+			}
+			got.WriteUint(5, 3)
+			want.WriteUint(5, 3)
+			g, w := got.String(), want.String()
+			if g.Len() != w.Len() || !bytes.Equal(g.Bytes(), w.Bytes()) {
+				t.Fatalf("offset %d, length %d: WriteString gave %v (%x), bit by bit %v (%x)", off, n, g, g.Bytes(), w, w.Bytes())
+			}
+		}
+	}
+}
+
+// TestFlipBit: FlipBit copies the string with exactly one bit inverted.
+func TestFlipBit(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		in := make([]byte, n)
+		for i := range in {
+			in[i] = byte(i*5+n) >> 1
+		}
+		s := FromBits(in)
+		for i := 0; i < n; i++ {
+			want := append([]byte(nil), in...)
+			want[i] ^= 1
+			if got := s.FlipBit(i); got.Len() != n || !bytes.Equal(got.Bytes(), FromBits(want).Bytes()) {
+				t.Fatalf("n=%d: FlipBit(%d) = %v, want %v", n, i, got, FromBits(want))
+			}
+		}
+		if !s.Equal(FromBits(in)) {
+			t.Fatalf("n=%d: FlipBit changed its receiver", n)
+		}
+	}
+}
+
 // Property: any sequence of (value, width) writes reads back identically.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(vals []uint16) bool {

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"rpls/internal/bitstring"
@@ -9,6 +10,7 @@ import (
 	"rpls/internal/engine"
 	"rpls/internal/experiments"
 	"rpls/internal/graph"
+	"rpls/internal/prng"
 	"rpls/internal/schemes/spanningtree"
 	"rpls/internal/schemes/uniform"
 )
@@ -369,5 +371,103 @@ func TestSoundnessReportsAllAdversaries(t *testing.T) {
 	}
 	if len(solo) != 1 || solo[0].Adversary != engine.AdversaryRandom {
 		t.Fatalf("nil legal twin: %+v", solo)
+	}
+}
+
+// decideCounter is a one-sided fixture that counts its prepared nodes'
+// Decide calls. Labels and certificates are empty; node 0 rejects every
+// lane when reject0 is set, and every other vote accepts.
+type decideCounter struct {
+	reject0 bool
+	calls   atomic.Int64
+}
+
+func (d *decideCounter) Name() string   { return "decide-counter" }
+func (d *decideCounter) OneSided() bool { return true }
+
+func (d *decideCounter) Label(c *graph.Config) ([]core.Label, error) {
+	return make([]core.Label, c.G.N()), nil
+}
+
+func (d *decideCounter) Certs(view core.View, own core.Label, rng *prng.Rand) []core.Cert {
+	return make([]core.Cert, view.Deg)
+}
+
+func (d *decideCounter) Decide(view core.View, own core.Label, received []core.Cert) bool {
+	return !(d.reject0 && view.Node == 0)
+}
+
+func (d *decideCounter) Prepare(view core.View, own core.Label) core.Prepared {
+	return &decideCounterNode{d: d, node: view.Node}
+}
+
+type decideCounterNode struct {
+	d    *decideCounter
+	node int
+}
+
+func (n *decideCounterNode) Certs(rngs []*prng.Rand, out [][]core.Cert, sc *core.Scratch) {
+	for _, row := range out {
+		clear(row)
+	}
+}
+
+func (n *decideCounterNode) Decide(recv [][]core.Cert, sc *core.Scratch) uint64 {
+	n.d.calls.Add(1)
+	if n.d.reject0 && n.node == 0 {
+		return 0
+	}
+	return core.LaneMask(len(recv))
+}
+
+// TestEstimateStopsDecidingAtFirstRejection pins the decide pass's short
+// circuit: an estimate needs only each trial's acceptance, so a run stops
+// deciding once every lane in it has rejected, while Verify (one Round)
+// still decides every node. Node 0 decides first and rejects every lane,
+// so a 64-trial estimate makes one Decide call per run: 64 one-lane runs
+// on Sequential, one 64-lane run on Batched. With no rejecting node every
+// node decides in every run.
+func TestEstimateStopsDecidingAtFirstRejection(t *testing.T) {
+	cfg := graph.NewConfig(graph.Path(8))
+	n := int64(cfg.G.N())
+	for _, tc := range []struct {
+		exec engine.Executor
+		runs int64 // runs a 64-trial estimate makes
+	}{{engine.NewSequential(), 64}, {engine.NewBatched(), 1}} {
+		for _, reject0 := range []bool{true, false} {
+			d := &decideCounter{reject0: reject0}
+			s := engine.FromRPLS(d)
+			sum, err := engine.Estimate(s, cfg, engine.WithTrials(64), engine.WithSeed(3),
+				engine.WithExecutor(tc.exec), engine.WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, accepted := tc.runs*n, 64
+			if reject0 {
+				want, accepted = tc.runs, 0
+			}
+			if got := d.calls.Load(); got != want {
+				t.Errorf("%s, reject0=%v: 64-trial estimate made %d Decide calls, want %d",
+					tc.exec.Name(), reject0, got, want)
+			}
+			if sum.Accepted != accepted || sum.Trials != 64 {
+				t.Errorf("%s, reject0=%v: accepted %d of %d trials, want %d of 64",
+					tc.exec.Name(), reject0, sum.Accepted, sum.Trials, accepted)
+			}
+
+			d.calls.Store(0)
+			res := engine.Verify(s, cfg, make([]core.Label, n), engine.WithSeed(3),
+				engine.WithExecutor(tc.exec), engine.WithStats(true))
+			if got := d.calls.Load(); got != n {
+				t.Errorf("%s, reject0=%v: Verify made %d Decide calls, want one per node (%d)",
+					tc.exec.Name(), reject0, got, n)
+			}
+			for v, vote := range res.Votes {
+				if want := !(reject0 && v == 0); vote != want {
+					t.Errorf("%s, reject0=%v: Verify vote of node %d = %v, want %v",
+						tc.exec.Name(), reject0, v, vote, want)
+				}
+			}
+		}
 	}
 }

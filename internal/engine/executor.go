@@ -163,9 +163,11 @@ func (p *prepared) reset(s Scheme, c *graph.Config, labels []core.Label) {
 // own block of a node-major plane, the block is metered lane by lane, and
 // every node decides all lanes from windows gathered through one RevEdge
 // lookup per port, AND-reducing per-node vote masks into per-trial
-// acceptance. Lane l of a batch starting at trial t runs node streams
-// prng.New(seed+t+l).Fork(v), so votes and Stats do not depend on the lane
-// width. Sequential runs the loop one lane wide, Batched up to 64.
+// acceptance (an estimate's run stops deciding once every lane has
+// rejected; Round decides every node). Lane l of a batch starting at
+// trial t runs node streams prng.New(seed+t+l).Fork(v), so votes and
+// Stats do not depend on the lane width. Sequential runs the loop one
+// lane wide, Batched up to 64.
 //
 // The loop allocates nothing once warm: the plane, the windows and the
 // scratch every node call borrows (sc) are kept across runs, and grow
@@ -324,8 +326,12 @@ func (k *kernel) planeBlock(v, width int) []core.Cert {
 // its sender as the p.rounds shards of core.Shard's layout; the receiver
 // decides on the whole string, which is bit for bit the round-order
 // concatenation of those shards. When needVotes is set, lane 0's per-node
-// votes land in k.votes. The scratch's run region is reset once, here,
-// and its call region before each node call.
+// votes land in k.votes and every node decides. Otherwise only acceptance
+// is wanted, and the decide traversal stops once every lane has rejected:
+// a trial accepts only if every node does, so the nodes left cannot change
+// it, and Stats come from the certificate traversal, which always runs in
+// full. The scratch's run region is reset once, here, and its call region
+// before each node call.
 //
 //pls:hotpath
 func (k *kernel) run(p *prepared, c *graph.Config, labels []core.Label, firstSeed uint64, width int, needVotes bool) {
@@ -366,7 +372,7 @@ func (k *kernel) run(p *prepared, c *graph.Config, labels []core.Label, firstSee
 		}
 	}
 
-	accept := core.LaneMask(width)
+	accept, decided := core.LaneMask(width), n
 	for v := 0; v < n; v++ {
 		base, deg := k.csr.RowStart[v], k.csr.Degree(v)
 		recv := k.recv[:width*deg]
@@ -388,8 +394,13 @@ func (k *kernel) run(p *prepared, c *graph.Config, labels []core.Label, firstSee
 		accept &= mask
 		if needVotes {
 			k.votes[v] = mask&1 != 0
+		} else if accept == 0 {
+			decided = v + 1
+			break
 		}
 	}
+	obsDecideNodes.Add(uint64(decided))
+	obsDecideSkipped.Add(uint64(n - decided))
 	if n == 0 {
 		accept = 0 // an empty configuration accepts nowhere (AllTrue is false)
 	}

@@ -34,6 +34,13 @@ var (
 	obsBatchCoinFree = obs.NewCounter("engine.batched.coinfree")
 	obsBatchNanos    = obs.NewHistogram("engine.batched.batch", "ns")
 
+	// The decide traversal: node Decide calls made, and those an
+	// acceptance-only run skipped once every lane had rejected (see
+	// kernel.run). Both are added once per run, so skipped over their sum
+	// is the share of decide calls the short-circuit saved.
+	obsDecideNodes   = obs.NewCounter("engine.decide.nodes")
+	obsDecideSkipped = obs.NewCounter("engine.decide.skipped")
+
 	// Soundness adversary fan-out.
 	obsSoundnessRuns        = obs.NewCounter("engine.soundness.runs")
 	obsSoundnessAssignments = obs.NewCounter("engine.soundness.assignments")

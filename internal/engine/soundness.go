@@ -107,15 +107,25 @@ func (o *options) worstAssignment(s Scheme, illegal *graph.Config, name string, 
 }
 
 // RandomLabels draws n labels of up to maxBits uniform bits each — the
-// unstructured adversary every scheme must defeat.
+// unstructured adversary every scheme must defeat. Label i's length is
+// drawn first, then its bits in order, one rng.Bit each; the bits are
+// packed as they are drawn, 64 to a word, into one buffer per label.
 func RandomLabels(rng *prng.Rand, n, maxBits int) []core.Label {
 	out := make([]core.Label, n)
+	var w bitstring.Writer
 	for i := range out {
-		bits := make([]byte, rng.Intn(maxBits+1))
-		for j := range bits {
-			bits[j] = rng.Bit()
+		left := rng.Intn(maxBits + 1)
+		w.ResetInto(make([]byte, 0, (left+7)/8))
+		for left > 0 {
+			k := min(left, 64)
+			var word uint64
+			for j := 0; j < k; j++ {
+				word = word<<1 | uint64(rng.Bit())
+			}
+			w.WriteUint(word, k)
+			left -= k
 		}
-		out[i] = bitstring.FromBits(bits)
+		out[i] = w.TakeString()
 	}
 	return out
 }
@@ -134,12 +144,6 @@ func BitFlippedLabels(rng *prng.Rand, labels []core.Label) []core.Label {
 		out[v] = bitstring.FromBits([]byte{1})
 		return out
 	}
-	pos := rng.Intn(l.Len())
-	bits := make([]byte, l.Len())
-	for i := range bits {
-		bits[i] = l.Bit(i)
-	}
-	bits[pos] ^= 1
-	out[v] = bitstring.FromBits(bits)
+	out[v] = l.FlipBit(rng.Intn(l.Len()))
 	return out
 }

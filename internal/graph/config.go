@@ -85,6 +85,9 @@ func DecodeState(r *bitstring.Reader) (State, error) {
 	if err != nil {
 		return s, fmt.Errorf("state weight count: %w", err)
 	}
+	if !fits(r, nw, 64) {
+		return s, fmt.Errorf("state weight count %d exceeds the %d bits left", nw, r.Remaining())
+	}
 	if nw > 0 {
 		s.Weights = make([]int64, nw)
 		for i := range s.Weights {
@@ -97,6 +100,9 @@ func DecodeState(r *bitstring.Reader) (State, error) {
 	if err != nil {
 		return s, fmt.Errorf("state data length: %w", err)
 	}
+	if !fits(r, nd, 8) {
+		return s, fmt.Errorf("state data length %d exceeds the %d bits left", nd, r.Remaining())
+	}
 	if nd > 0 {
 		s.Data = make([]byte, nd)
 		for i := range s.Data {
@@ -108,6 +114,13 @@ func DecodeState(r *bitstring.Reader) (State, error) {
 		}
 	}
 	return s, nil
+}
+
+// fits reports whether count items of at least bitsPer bits each fit in
+// the bits r has left. Decoders check every length field with it before
+// sizing anything from it, so a hostile length is rejected, not allocated.
+func fits(r *bitstring.Reader, count uint64, bitsPer int) bool {
+	return count <= uint64(r.Remaining())/uint64(bitsPer)
 }
 
 // Config is a configuration Gs = (G, s): a graph together with a state
@@ -269,6 +282,9 @@ func DecodeConfig(s bitstring.String) (*Config, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("config: implausible node count %d", n)
 	}
+	if !fits(r, n64, 16) {
+		return nil, fmt.Errorf("config: node count %d exceeds the %d bits left", n, r.Remaining())
+	}
 	g := &Graph{adj: make([][]Half, n)}
 	for v := 0; v < n; v++ {
 		deg64, err := r.ReadUint(16)
@@ -278,6 +294,9 @@ func DecodeConfig(s bitstring.String) (*Config, error) {
 		deg := int(deg64)
 		if deg >= n && !(n == 0 && deg == 0) {
 			return nil, fmt.Errorf("node %d: degree %d too large for %d nodes", v, deg, n)
+		}
+		if !fits(r, deg64, 48) {
+			return nil, fmt.Errorf("node %d: degree %d exceeds the %d bits left", v, deg, r.Remaining())
 		}
 		g.adj[v] = make([]Half, deg)
 		for i := 0; i < deg; i++ {

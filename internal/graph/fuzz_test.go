@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"testing"
 
 	"rpls/internal/bitstring"
@@ -80,4 +81,43 @@ func FuzzDecodeState(f *testing.F) {
 			t.Fatal("state round trip unstable")
 		}
 	})
+}
+
+// TestDecodersRejectHostileLengths: a length field is checked against the
+// bits left before anything is sized from it. Each input claims far more
+// items than it holds, and must be rejected while allocating under 64 KB;
+// sized from the field, they asked for 16.8 MB, 4.3 GB, 0.5 MB and
+// 25.2 MB. The first and last are the committed fuzz seeds
+// hostile-data-length and hostile-node-count.
+func TestDecodersRejectHostileLengths(t *testing.T) {
+	// state returns a zero state's fields up to its weight count (208
+	// bits), then the given tail.
+	state := func(tail ...byte) []byte { return append(make([]byte, 26), tail...) }
+	decodeState := func(b []byte) error {
+		_, err := DecodeState(bitstring.NewReader(bitstring.FromBytes(b)))
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"state claiming 2^24 data bytes", func() error { return decodeState(state(0, 0, 0x01, 0, 0, 0)) }},
+		{"state claiming 2^32-1 data bytes", func() error { return decodeState(state(0, 0, 0xff, 0xff, 0xff, 0xff)) }},
+		{"state claiming 2^16-1 weights", func() error { return decodeState(state(0xff, 0xff)) }},
+		{"config claiming 2^20 nodes", func() error {
+			_, err := DecodeConfig(bitstring.FromBytes([]byte{0, 0x10, 0, 0}))
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Errorf("%s: allocated %d bytes before failing, want under 64 KB", tc.name, alloc)
+		}
+	}
 }

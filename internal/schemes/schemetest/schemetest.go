@@ -209,9 +209,10 @@ type BatterySpec struct {
 // Battery runs the full conformance suite on one scheme: completeness on
 // the legal configuration, prover refusal on the illegal one, and the
 // engine.Soundness fan-out (transplant, random labels, single-bit flips)
-// against the illegal one. It covers deterministic and randomized schemes
-// uniformly, so registry-driven tests can exercise every entry without
-// scheme-specific code.
+// against the illegal one, plus one engine.Verify under each adversary so
+// that every node decides on hostile labels. It covers deterministic and
+// randomized schemes uniformly, so registry-driven tests can exercise every
+// entry without scheme-specific code.
 func (h *Harness) Battery(t *testing.T, s engine.Scheme, legal, illegal *graph.Config, spec BatterySpec) {
 	t.Helper()
 	trials := spec.Trials
@@ -269,6 +270,29 @@ func (h *Harness) Battery(t *testing.T, s engine.Scheme, legal, illegal *graph.C
 			t.Errorf("%s: adversary %s assignment %d accepted %d of %d trials (budget %d)",
 				s.Name(), r.Adversary, r.WorstIndex, r.Worst.Accepted, r.Worst.Trials, budget)
 		}
+	}
+
+	// An estimate stops deciding a run once all its trials have rejected,
+	// so the fan-out above may never hand the later nodes a hostile
+	// label. One Verify per adversary decides every node: a Decide that
+	// panics on some input fails here. Only the absence of a panic is
+	// checked; the verdicts are the fan-out's to judge.
+	honest, err := s.Label(legal)
+	if err != nil {
+		t.Fatalf("%s prover on legal instance: %v", s.Name(), err)
+	}
+	n := illegal.G.N()
+	maxBits := 32
+	if b := core.MaxBits(honest); b > 0 {
+		maxBits = b
+	}
+	rng := prng.New(h.Seed)
+	adversaries := [][]core.Label{engine.RandomLabels(rng, n, maxBits)}
+	if len(honest) == n {
+		adversaries = append(adversaries, honest, engine.BitFlippedLabels(rng, honest))
+	}
+	for _, labels := range adversaries {
+		engine.Verify(s, illegal, labels, h.opts()...)
 	}
 }
 
