@@ -137,6 +137,20 @@ func (n *boostNode) Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch) {
 	}
 }
 
+// CoinFree implements Prepared from the inner node's report: a port
+// carries t frames of the inner width w, t·(GammaBits(w)+w) bits, and an
+// inner node that rejects every window rejects every lane under both
+// combination rules.
+func (n *boostNode) CoinFree(widths []int) (sized, rejects bool) {
+	sized, rejects = n.inner.CoinFree(widths)
+	if sized {
+		for i, w := range widths {
+			widths[i] = n.t * (bitstring.GammaBits(uint64(w)) + w)
+		}
+	}
+	return sized, rejects
+}
+
 // Decide implements Prepared: DecideWindows reads exactly t framed
 // repetitions per port and answers repetition j of every port as one
 // window of the inner node — conjunction for a one-sided inner scheme,

@@ -251,6 +251,8 @@ func (c windowCounter) Decide(recv [][]core.Cert, _ *core.Scratch) uint64 {
 	return core.LaneMask(len(recv))
 }
 
+func (windowCounter) CoinFree([]int) (sized, rejects bool) { return false, false }
+
 // TestDecideWindowsHoldsOneGroup: DecideWindows reads the members of one
 // group of lanes at a time — at most 64 windows, or one lane with more —
 // and gives them back before it reads the next group. On 64 lanes of deg

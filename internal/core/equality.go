@@ -86,6 +86,17 @@ func (n *EqualityNode) Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch) {
 	}
 }
 
+// CoinFree implements Prepared: every certificate is in the sent string's
+// layout whatever point is drawn, lay.Bits() on every port (0 for a
+// label that does not split), and a failed coin-free vote rejects every
+// lane.
+func (n *EqualityNode) CoinFree(widths []int) (sized, rejects bool) {
+	for i := range widths {
+		widths[i] = n.lay.Bits()
+	}
+	return true, !n.vote
+}
+
 // Decide implements Prepared. Run by run, each live lane's certificates
 // are parsed by the run's layout (lanes fail independently under
 // adversarial input), the run's string is evaluated at all the points in

@@ -35,6 +35,17 @@ type Preparer interface {
 //     end of that slice. It writes every slot: out is reused storage.
 //   - Decide returns a mask whose bit l is exactly
 //     Decide(view, own, recv[l]).
+//   - CoinFree reports what every trial of the node shares. When the
+//     length of the string Certs writes on each port does not depend on
+//     the coins, it sets widths[i] (len(widths) is view.Deg) to exactly
+//     that length and reports sized; otherwise it reports !sized, and
+//     the caller ignores widths. It reports rejects only when Decide
+//     returns 0 on every input, whatever the node receives (its coin-free
+//     vote fails); a node that cannot tell reports false. Both reports
+//     are part of the bit-equivalence: the engine meters sized widths
+//     once instead of metering what Certs writes, computes a sized node's
+//     certificates only when a deciding neighbor reads them, and decides
+//     nothing in an acceptance-only run that holds a rejecting node.
 //
 // rngs[l] is the node's stream for lane l (the executors derive it as
 // prng.New(seed+l).Fork(v)), so the coins of a lane are the ones the label
@@ -47,6 +58,7 @@ type Preparer interface {
 type Prepared interface {
 	Certs(rngs []*prng.Rand, out [][]Cert, sc *Scratch)
 	Decide(recv [][]Cert, sc *Scratch) uint64
+	CoinFree(widths []int) (sized, rejects bool)
 }
 
 // prepare returns r's node for the given view and label: r's own when it
@@ -113,6 +125,19 @@ func (n *LabelNode) Decide(recv [][]Cert, _ *Scratch) uint64 {
 		}
 	}
 	return mask
+}
+
+// CoinFree implements Prepared: a Broadcast node sends its label on every
+// port; a label path's lengths and vote are its own, so any other node
+// reports neither.
+func (n *LabelNode) CoinFree(widths []int) (sized, rejects bool) {
+	if !n.Broadcast {
+		return false, false
+	}
+	for i := range widths {
+		widths[i] = n.Own.Len()
+	}
+	return true, false
 }
 
 // LaneMask returns the bitmask with the low `lanes` bits set — the

@@ -106,6 +106,17 @@ func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert, sc *core.Scratch) 
 	}
 }
 
+// CoinFree implements core.Prepared from the inner node's report: its
+// widths degraded by the class rule (core.CapWidths), and its vote, which
+// every merged window and every replicated round goes through.
+func (n *capNode) CoinFree(widths []int) (sized, rejects bool) {
+	sized, rejects = n.inner.CoinFree(widths)
+	if sized {
+		core.CapWidths(widths, n.m, n.merge)
+	}
+	return sized, rejects
+}
+
 // Decide implements core.Prepared. A replicated string is a well-formed
 // uncapped string, so the inner node decides replicated rounds as they
 // arrived. A merged round is answered by core.DecideWindows over each

@@ -117,7 +117,7 @@ func Estimate(s Scheme, c *graph.Config, opts ...Option) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	return o.estimateLabels(withCap(s, o.multiplicity), c, labels), nil
+	return o.estimateLabels(withCap(s, o.multiplicity), c, labels, nil), nil
 }
 
 // trialOutcome is the per-trial data the merge needs: the acceptance vote
@@ -129,9 +129,23 @@ type trialOutcome struct {
 	st       Stats
 }
 
+// prepare returns s's nodes prepared for c and labels, timed by the
+// engine.estimate.prepare histogram.
+func prepare(s Scheme, c *graph.Config, labels []core.Label) *prepared {
+	t0 := obsPrepareNanos.Start()
+	p := new(prepared)
+	p.reset(s, c, labels)
+	obsPrepareNanos.Stop(t0)
+	return p
+}
+
 // estimateLabels is the estimator core shared by Estimate, Soundness,
-// Sweep, and MaxCertBits: labels are already resolved.
-func (o *options) estimateLabels(s Scheme, c *graph.Config, labels []core.Label) Summary {
+// Sweep, and MaxCertBits: labels are already resolved, and p holds the
+// nodes prepared for c and labels, or is nil to prepare them here.
+// Prepared nodes are never memoized on the scheme or the executor, since
+// configurations are mutated in place between calls: they live for one
+// estimate, or for one Soundness call, which shares the honest nodes.
+func (o *options) estimateLabels(s Scheme, c *graph.Config, labels []core.Label, p *prepared) Summary {
 	sum := Summary{MaxLabelBits: core.MaxBits(labels)}
 	if o.trials <= 0 {
 		sum.CILow, sum.CIHigh = WilsonInterval(0, 0)
@@ -139,14 +153,10 @@ func (o *options) estimateLabels(s Scheme, c *graph.Config, labels []core.Label)
 	}
 	obsEstimates.Inc()
 	sp := obs.Begin("engine.estimate")
+	if p == nil {
+		p = prepare(s, c, labels)
+	}
 	execs := workerExecutors(o.executor(), o.workers())
-	// The prepared nodes live for one estimate only: configurations are
-	// mutated in place between calls, so they are never memoized on the
-	// scheme or the executor.
-	t0 := obsPrepareNanos.Start()
-	var p prepared
-	p.reset(s, c, labels)
-	obsPrepareNanos.Stop(t0)
 
 	// With an early-stop rule active, compute trials ahead on the fixed
 	// geometric chunk schedule; otherwise one chunk covers the whole run.
@@ -165,7 +175,7 @@ scan:
 			out = make([]trialOutcome, hi-lo)
 		}
 		out = out[:hi-lo]
-		runTrials(execs, s, &p, c, labels, o.seed, lo, hi, out)
+		runTrials(execs, s, p, c, labels, o.seed, lo, hi, out)
 		obsChunkTrials.Observe(int64(hi - lo))
 		// Fold outcomes in serial trial order; the stopping rule sees
 		// exactly the prefix a serial run would have seen.
@@ -250,7 +260,7 @@ func runTrials(execs []Executor, s Scheme, p *prepared, c *graph.Config, labels 
 func oneWorker(exec Executor, s Scheme, p *prepared, c *graph.Config, labels []core.Label, seed uint64, lo, hi int, out []trialOutcome) {
 	if e, ok := exec.(laneExecutor); ok {
 		k, width := e.lanes()
-		k.trials(p, width, c, labels, seed, lo, hi, out)
+		k.trials(p, width, c, seed, lo, hi, out)
 		return
 	}
 	for t := lo; t < hi; t++ {
@@ -273,7 +283,7 @@ func MaxCertBits(s Scheme, c *graph.Config, labels []core.Label, trials int, see
 		trials = 1 // a coin-free execution is identical every trial
 	}
 	o := buildOptions([]Option{WithSeed(seed), WithTrials(trials)})
-	return o.estimateLabels(s, c, labels).MaxCertBits
+	return o.estimateLabels(s, c, labels, nil).MaxCertBits
 }
 
 // Acceptance is the one-call Monte-Carlo acceptance estimator: the

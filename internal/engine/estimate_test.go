@@ -375,11 +375,13 @@ func TestSoundnessReportsAllAdversaries(t *testing.T) {
 }
 
 // decideCounter is a one-sided fixture that counts its prepared nodes'
-// Decide calls. Labels and certificates are empty; node 0 rejects every
-// lane when reject0 is set, and every other vote accepts.
+// Certs and Decide calls. Labels and certificates are empty, and every
+// node reports widths of 0. Node 0 rejects every lane when reject0 is set,
+// and reports that rejection as its coin-free vote when coinFree is also
+// set; every other vote accepts.
 type decideCounter struct {
-	reject0 bool
-	calls   atomic.Int64
+	reject0, coinFree bool
+	certs, calls      atomic.Int64
 }
 
 func (d *decideCounter) Name() string   { return "decide-counter" }
@@ -407,6 +409,7 @@ type decideCounterNode struct {
 }
 
 func (n *decideCounterNode) Certs(rngs []*prng.Rand, out [][]core.Cert, sc *core.Scratch) {
+	n.d.certs.Add(1)
 	for _, row := range out {
 		clear(row)
 	}
@@ -420,13 +423,26 @@ func (n *decideCounterNode) Decide(recv [][]core.Cert, sc *core.Scratch) uint64 
 	return core.LaneMask(len(recv))
 }
 
+func (n *decideCounterNode) CoinFree(widths []int) (sized, rejects bool) {
+	clear(widths)
+	return true, n.d.reject0 && n.d.coinFree && n.node == 0
+}
+
 // TestEstimateStopsDecidingAtFirstRejection pins the decide pass's short
-// circuit: an estimate needs only each trial's acceptance, so a run stops
-// deciding once every lane in it has rejected, while Verify (one Round)
-// still decides every node. Node 0 decides first and rejects every lane,
-// so a 64-trial estimate makes one Decide call per run: 64 one-lane runs
-// on Sequential, one 64-lane run on Batched. With no rejecting node every
-// node decides in every run.
+// circuit and the certificates computed on demand. An estimate needs only
+// each trial's acceptance, so a run stops deciding once every lane in it
+// has rejected, decides nothing when a node reports a coin-free
+// rejection, and computes a node's block, whose widths are known without
+// coins, only when a deciding neighbor reads it; Verify (one Round) still
+// decides every node and so computes every block. On Path(8) node 0
+// decides first and reads only node 1's block, and a 64-trial estimate
+// makes 64 one-lane runs on Sequential and one 64-lane run on Batched:
+//
+//   - a coin-free rejection at node 0: no Decide and no Certs call;
+//   - a rejection at node 0 that only Decide shows: one Decide call and
+//     one block, node 1's, per run;
+//   - no rejection: every node decides and every block is computed once
+//     per run.
 func TestEstimateStopsDecidingAtFirstRejection(t *testing.T) {
 	cfg := graph.NewConfig(graph.Path(8))
 	n := int64(cfg.G.N())
@@ -434,38 +450,55 @@ func TestEstimateStopsDecidingAtFirstRejection(t *testing.T) {
 		exec engine.Executor
 		runs int64 // runs a 64-trial estimate makes
 	}{{engine.NewSequential(), 64}, {engine.NewBatched(), 1}} {
-		for _, reject0 := range []bool{true, false} {
-			d := &decideCounter{reject0: reject0}
+		for _, rc := range []struct {
+			name              string
+			reject0, coinFree bool
+			decides, blocks   int64 // per run
+		}{
+			{"coin-free rejection", true, true, 0, 0},
+			{"rejection", true, false, 1, 1},
+			{"no rejection", false, false, n, n},
+		} {
+			d := &decideCounter{reject0: rc.reject0, coinFree: rc.coinFree}
 			s := engine.FromRPLS(d)
 			sum, err := engine.Estimate(s, cfg, engine.WithTrials(64), engine.WithSeed(3),
 				engine.WithExecutor(tc.exec), engine.WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, accepted := tc.runs*n, 64
-			if reject0 {
-				want, accepted = tc.runs, 0
+			accepted := 64
+			if rc.reject0 {
+				accepted = 0
 			}
-			if got := d.calls.Load(); got != want {
-				t.Errorf("%s, reject0=%v: 64-trial estimate made %d Decide calls, want %d",
-					tc.exec.Name(), reject0, got, want)
+			if got, want := d.calls.Load(), tc.runs*rc.decides; got != want {
+				t.Errorf("%s, %s: 64-trial estimate made %d Decide calls, want %d",
+					tc.exec.Name(), rc.name, got, want)
+			}
+			if got, want := d.certs.Load(), tc.runs*rc.blocks; got != want {
+				t.Errorf("%s, %s: 64-trial estimate computed %d blocks, want %d",
+					tc.exec.Name(), rc.name, got, want)
 			}
 			if sum.Accepted != accepted || sum.Trials != 64 {
-				t.Errorf("%s, reject0=%v: accepted %d of %d trials, want %d of 64",
-					tc.exec.Name(), reject0, sum.Accepted, sum.Trials, accepted)
+				t.Errorf("%s, %s: accepted %d of %d trials, want %d of 64",
+					tc.exec.Name(), rc.name, sum.Accepted, sum.Trials, accepted)
 			}
 
 			d.calls.Store(0)
+			d.certs.Store(0)
 			res := engine.Verify(s, cfg, make([]core.Label, n), engine.WithSeed(3),
 				engine.WithExecutor(tc.exec), engine.WithStats(true))
 			if got := d.calls.Load(); got != n {
-				t.Errorf("%s, reject0=%v: Verify made %d Decide calls, want one per node (%d)",
-					tc.exec.Name(), reject0, got, n)
+				t.Errorf("%s, %s: Verify made %d Decide calls, want one per node (%d)",
+					tc.exec.Name(), rc.name, got, n)
+			}
+			if got := d.certs.Load(); got != n {
+				t.Errorf("%s, %s: Verify computed %d blocks, want one per node (%d)",
+					tc.exec.Name(), rc.name, got, n)
 			}
 			for v, vote := range res.Votes {
-				if want := !(reject0 && v == 0); vote != want {
-					t.Errorf("%s, reject0=%v: Verify vote of node %d = %v, want %v",
-						tc.exec.Name(), reject0, v, vote, want)
+				if want := !(rc.reject0 && v == 0); vote != want {
+					t.Errorf("%s, %s: Verify vote of node %d = %v, want %v",
+						tc.exec.Name(), rc.name, v, vote, want)
 				}
 			}
 		}

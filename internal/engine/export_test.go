@@ -12,6 +12,7 @@ import (
 // that reads scratch it did not write in the same call sees stale bytes.
 type PreparedNodes struct {
 	p  prepared
+	c  *graph.Config
 	sc core.Scratch
 }
 
@@ -20,7 +21,7 @@ type PreparedNodes struct {
 // scheme — whose label path the nodes must match — with its nodes.
 func PrepareNodes(s Scheme, m int, c *graph.Config, labels []core.Label) (Scheme, *PreparedNodes) {
 	s = withCap(s, m)
-	n := &PreparedNodes{}
+	n := &PreparedNodes{c: c}
 	n.p.reset(s, c, labels)
 	return s, n
 }
@@ -37,4 +38,13 @@ func (n *PreparedNodes) Certs(v int, rngs []*prng.Rand, out [][]core.Cert) {
 func (n *PreparedNodes) Decide(v int, recv [][]core.Cert) uint64 {
 	n.sc.ResetCall()
 	return n.p.nodes[v].Decide(recv, &n.sc)
+}
+
+// CoinFree returns node v's coin-free report, the cap's included: the
+// widths of its strings by port when sized, and whether it reports a
+// coin-free rejection.
+func (n *PreparedNodes) CoinFree(v int) (widths []int, sized, rejects bool) {
+	widths = make([]int, n.c.G.Degree(v))
+	sized, rejects = n.p.nodes[v].CoinFree(widths)
+	return widths, sized, rejects
 }

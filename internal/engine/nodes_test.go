@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"rpls/internal/bitstring"
@@ -161,8 +162,10 @@ func received(s engine.Scheme, c *graph.Config, labels []core.Label, v int, seed
 
 // checkCerts compares node v's certificates on the given lanes — lane l at
 // seed+l — with the label path's, slot for slot, after pre-filling every
-// slot with junk.
-func checkCerts(t *testing.T, s engine.Scheme, nodes *engine.PreparedNodes, c *graph.Config, labels []core.Label, v, lanes int, seed uint64) {
+// slot with junk. When the node reports its widths, every certificate
+// must be exactly as long as its port's width; checkCerts returns whether
+// it reports them.
+func checkCerts(t *testing.T, s engine.Scheme, nodes *engine.PreparedNodes, c *graph.Config, labels []core.Label, v, lanes int, seed uint64) (sized bool) {
 	t.Helper()
 	view := core.ViewOf(c, v)
 	rngs := make([]*prng.Rand, lanes)
@@ -195,13 +198,26 @@ func checkCerts(t *testing.T, s engine.Scheme, nodes *engine.PreparedNodes, c *g
 			}
 		}
 	}
+	widths, sized, _ := nodes.CoinFree(v)
+	for l := 0; sized && l < lanes; l++ {
+		for i, w := range widths {
+			if got := out[l][i].Len(); got != w {
+				t.Fatalf("node %d lane %d/%d port %d: reported width %d, Certs wrote %d bits", v, l, lanes, i, w, got)
+			}
+		}
+	}
+	return sized
 }
 
 // checkDecide compares node v's vote mask on recv with the label path's
-// vote on every lane.
+// vote on every lane. A node that reports a coin-free rejection must
+// reject every lane.
 func checkDecide(t *testing.T, s engine.Scheme, nodes *engine.PreparedNodes, c *graph.Config, labels []core.Label, v int, recv [][]core.Cert) {
 	t.Helper()
 	got := nodes.Decide(v, recv)
+	if _, _, rejects := nodes.CoinFree(v); rejects && got != 0 {
+		t.Fatalf("node %d reports a coin-free rejection, yet votes %#x on %d lanes", v, got, len(recv))
+	}
 	for l, r := range recv {
 		want := s.Decide(core.ViewOf(c, v), labels[v], r)
 		if bit := got&(1<<uint(l)) != 0; bit != want {
@@ -217,34 +233,59 @@ func checkDecide(t *testing.T, s engine.Scheme, nodes *engine.PreparedNodes, c *
 // contract. Every case's nodes, prepared as the executors prepare them,
 // are compared with the label path at 1, 3 and 64 lanes, uncapped and
 // under the multiplicity caps 1 and 2, on the honest exchange and with
-// one lane's first certificate truncated. At 64 merged lanes the member
-// windows overflow one 64-window call of the inner node.
+// one lane's first certificate truncated; sharded over 3 rounds, where a
+// cap replicates what one round merges, at 1 and 3 lanes. At 64 merged
+// lanes the member windows overflow one 64-window call of the inner node.
+// Every node's reported widths must be the lengths it writes, and a node
+// that reports a coin-free rejection must reject every lane. Only the
+// label-path nodes of two-sided coloring, alone or boosted, report no
+// widths.
 func TestNodesMatchLabelPath(t *testing.T) {
 	const seed = 1000
-	for _, tc := range nodeCases(t) {
+	cases, ran := nodeCases(t), 0
+	var unsized []string
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, m := range []int{0, 1, 2} {
-				if m > 0 && tc.s.Deterministic() {
-					continue // never capped: label broadcast meets every cap
+			ran++
+			for _, rounds := range []int{1, 3} {
+				s, err := engine.Shard(tc.s, rounds)
+				if err != nil {
+					t.Fatal(err)
 				}
-				capped, nodes := engine.PrepareNodes(tc.s, m, tc.cfg, tc.labels)
-				for _, lanes := range []int{1, 3, 64} {
-					for v := 0; v < tc.cfg.G.N(); v++ {
-						checkCerts(t, capped, nodes, tc.cfg, tc.labels, v, lanes, seed)
-						recv := make([][]core.Cert, lanes)
-						for l := range recv {
-							recv[l] = received(capped, tc.cfg, tc.labels, v, seed+uint64(l))
-						}
-						checkDecide(t, capped, nodes, tc.cfg, tc.labels, v, recv)
-						if len(recv[lanes/2]) > 0 {
-							cut := recv[lanes/2][0]
-							recv[lanes/2][0] = cut.Truncate(cut.Len() / 2)
+				laneCounts := []int{1, 3, 64}
+				if rounds > 1 {
+					laneCounts = laneCounts[:2]
+				}
+				for _, m := range []int{0, 1, 2} {
+					if m > 0 && s.Deterministic() {
+						continue // never capped: label broadcast meets every cap
+					}
+					capped, nodes := engine.PrepareNodes(s, m, tc.cfg, tc.labels)
+					for _, lanes := range laneCounts {
+						for v := 0; v < tc.cfg.G.N(); v++ {
+							sized := checkCerts(t, capped, nodes, tc.cfg, tc.labels, v, lanes, seed)
+							if !sized && !slices.Contains(unsized, tc.name) {
+								unsized = append(unsized, tc.name)
+							}
+							recv := make([][]core.Cert, lanes)
+							for l := range recv {
+								recv[l] = received(capped, tc.cfg, tc.labels, v, seed+uint64(l))
+							}
 							checkDecide(t, capped, nodes, tc.cfg, tc.labels, v, recv)
+							if len(recv[lanes/2]) > 0 {
+								cut := recv[lanes/2][0]
+								recv[lanes/2][0] = cut.Truncate(cut.Len() / 2)
+								checkDecide(t, capped, nodes, tc.cfg, tc.labels, v, recv)
+							}
 						}
 					}
 				}
 			}
 		})
+	}
+	want := []string{"coloring/rand", "coloring/rand/illegal", "boost3-coloring", "lone-boost3-coloring"}
+	if ran == len(cases) && !slices.Equal(unsized, want) {
+		t.Errorf("variants whose nodes report no widths: %q, want %q", unsized, want)
 	}
 }
 
@@ -254,9 +295,9 @@ func TestNodesMatchLabelPath(t *testing.T) {
 // of the certificate arriving on its first port. The cap byte m selects
 // the multiplicity cap m % 3 ∈ {0, 1, 2}, and (m / 3) % 2 = 1 shards the
 // scheme over t = 3 rounds. A negative bit count keeps the honest label
-// or certificate. The oracle: neither path panics, and the node's
+// or certificate. The oracle: neither path panics, the node's
 // certificates and vote equal the label path's, both at one lane and at
-// lane 1 of 3.
+// lane 1 of 3, and its CoinFree report holds (checkCerts, checkDecide).
 func FuzzDecide(f *testing.F) {
 	cases := nodeCases(f)
 	index := make(map[string]int, len(cases))

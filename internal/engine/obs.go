@@ -41,6 +41,13 @@ var (
 	obsDecideNodes   = obs.NewCounter("engine.decide.nodes")
 	obsDecideSkipped = obs.NewCounter("engine.decide.skipped")
 
+	// The certificate blocks of nodes with a port: those a run computed,
+	// and those it skipped because their widths were metered coin-free
+	// and no deciding node read them. Both are added once per run, beside
+	// the decide counters.
+	obsCertsComputed = obs.NewCounter("engine.certs.computed")
+	obsCertsSkipped  = obs.NewCounter("engine.certs.skipped")
+
 	// Soundness adversary fan-out.
 	obsSoundnessRuns        = obs.NewCounter("engine.soundness.runs")
 	obsSoundnessAssignments = obs.NewCounter("engine.soundness.assignments")

@@ -239,7 +239,7 @@ func (o *options) sweepPoint(scheme func(c *graph.Config) (Scheme, error), build
 		return SweepPoint{}, fmt.Errorf("sweep n=%d: %w", n, err)
 	}
 	s = withCap(s, o.multiplicity)
-	return SweepPoint{N: cfg.G.N(), M: cfg.G.M(), Summary: o.estimateLabels(s, cfg, labels)}, nil
+	return SweepPoint{N: cfg.G.N(), M: cfg.G.M(), Summary: o.estimateLabels(s, cfg, labels, nil)}, nil
 }
 
 // Fixed wraps a size-independent scheme for Sweep.

@@ -63,12 +63,21 @@ func Soundness(s Scheme, legal, illegal *graph.Config, opts ...Option) ([]Advers
 		}
 	}
 
+	// The transplant runs the honest labels on the illegal configuration,
+	// and every bit-flip assignment differs from them at one node, so the
+	// honest nodes are prepared once and each bit-flip estimate prepares
+	// only its flipped node again.
 	var out []AdversaryResult
-	if honest != nil && legal.G.N() == n {
+	var hp *prepared // nil when no trial runs
+	flips := honest != nil && len(honest) == n
+	if flips && o.trials > 0 {
+		hp = prepare(s, illegal, honest)
+	}
+	if flips && legal.G.N() == n {
 		out = append(out, AdversaryResult{
 			Adversary:   AdversaryTransplant,
 			Assignments: 1,
-			Worst:       o.estimateLabels(s, illegal, honest),
+			Worst:       o.estimateLabels(s, illegal, honest, hp),
 		})
 	}
 
@@ -77,26 +86,30 @@ func Soundness(s Scheme, legal, illegal *graph.Config, opts ...Option) ([]Advers
 		maxBits = b
 	}
 	rng := prng.New(o.seed).Fork(0xadee5a27)
-	out = append(out, o.worstAssignment(s, illegal, AdversaryRandom, func() []core.Label {
-		return RandomLabels(rng, n, maxBits)
+	out = append(out, o.worstAssignment(AdversaryRandom, func() Summary {
+		return o.estimateLabels(s, illegal, RandomLabels(rng, n, maxBits), nil)
 	}))
 
-	if honest != nil && len(honest) == n {
-		out = append(out, o.worstAssignment(s, illegal, AdversaryBitFlip, func() []core.Label {
-			return BitFlippedLabels(rng, honest)
+	if flips {
+		out = append(out, o.worstAssignment(AdversaryBitFlip, func() Summary {
+			labels, v := bitFlip(rng, honest)
+			t0 := obsPrepareNanos.Start()
+			p := hp.withNode(illegal, labels, v)
+			obsPrepareNanos.Stop(t0)
+			return o.estimateLabels(s, illegal, labels, p)
 		}))
 	}
 	return out, nil
 }
 
-// worstAssignment estimates acceptance for o.assignments draws of the
-// adversary and keeps the one with the highest acceptance rate.
-func (o *options) worstAssignment(s Scheme, illegal *graph.Config, name string, draw func() []core.Label) AdversaryResult {
+// worstAssignment runs o.assignments estimates of the adversary, each on
+// a fresh draw, and keeps the one with the highest acceptance rate.
+func (o *options) worstAssignment(name string, estimate func() Summary) AdversaryResult {
 	sp := obs.Begin("engine.soundness." + name)
 	obsSoundnessAssignments.Add(uint64(o.assignments))
 	r := AdversaryResult{Adversary: name, Assignments: o.assignments}
 	for a := 0; a < o.assignments; a++ {
-		sum := o.estimateLabels(s, illegal, draw())
+		sum := estimate()
 		if a == 0 || sum.Acceptance > r.Worst.Acceptance {
 			r.WorstIndex, r.Worst = a, sum
 		}
@@ -134,16 +147,22 @@ func RandomLabels(rng *prng.Rand, n, maxBits int) []core.Label {
 // uniformly random node's label — the minimal-perturbation adversary. A
 // node with an empty label gains a single 1 bit instead.
 func BitFlippedLabels(rng *prng.Rand, labels []core.Label) []core.Label {
+	out, _ := bitFlip(rng, labels)
+	return out
+}
+
+// bitFlip is BitFlippedLabels, and also returns the node it changed (−1
+// when there are no labels).
+func bitFlip(rng *prng.Rand, labels []core.Label) ([]core.Label, int) {
 	out := append([]core.Label(nil), labels...)
 	if len(out) == 0 {
-		return out
+		return out, -1
 	}
 	v := rng.Intn(len(out))
-	l := out[v]
-	if l.Len() == 0 {
+	if l := out[v]; l.Len() == 0 {
 		out[v] = bitstring.FromBits([]byte{1})
-		return out
+	} else {
+		out[v] = l.FlipBit(rng.Intn(l.Len()))
 	}
-	out[v] = l.FlipBit(rng.Intn(l.Len()))
-	return out
+	return out, v
 }

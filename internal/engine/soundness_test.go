@@ -2,12 +2,16 @@ package engine_test
 
 import (
 	"bytes"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"rpls/internal/bitstring"
 	"rpls/internal/core"
 	"rpls/internal/engine"
 	"rpls/internal/prng"
+	"rpls/internal/schemes/mst"
+	"rpls/internal/schemes/uniform"
 )
 
 // perBitRandomLabels is the adversary's per-bit construction, kept as the
@@ -84,5 +88,102 @@ func TestAdversaryLabelsMatchPerBitReference(t *testing.T) {
 				t.Fatalf("seed %d, maxBits %d: the streams diverged", seed, maxBits)
 			}
 		}
+	}
+}
+
+// prepareCounter is a scheme with its own nodes that counts its Prepare
+// calls.
+type prepareCounter struct {
+	core.Preparer
+	calls atomic.Int64
+}
+
+func (p *prepareCounter) Prepare(view core.View, own core.Label) core.Prepared {
+	p.calls.Add(1)
+	return p.Preparer.Prepare(view, own)
+}
+
+// TestSoundnessMatchesDecomposedEstimates: Soundness equals the Estimate
+// calls it stands for — the transplant, then each random and each
+// bit-flip assignment drawn from its one stream — although it prepares
+// the honest labels once and each bit-flip estimate prepares only its
+// flipped node again. Counted through the scheme's Prepare, the transplant
+// and bit-flip families take n + assignments calls, not the
+// (1 + assignments)·n of preparing every estimate afresh; the random
+// family prepares all n nodes per assignment.
+func TestSoundnessMatchesDecomposedEstimates(t *testing.T) {
+	const seed, trials, assignments = 7, 24, 3
+	fixture := func(name string) conformanceFixture {
+		fx, err := conformanceFixtures[name]()
+		if err != nil {
+			t.Fatalf("%s fixture: %v", name, err)
+		}
+		return fx
+	}
+	preparer := func(r core.RPLS) *prepareCounter { return &prepareCounter{Preparer: r.(core.Preparer)} }
+	mstFx, uniFx := fixture("mst"), fixture("uniform")
+	for _, tc := range []struct {
+		name  string
+		fx    conformanceFixture
+		count *prepareCounter
+		boost int
+		m     int
+	}{
+		{"mst/compiled", mstFx, preparer(mst.NewRPLS()), 1, 0},
+		{"uniform/rand", uniFx, preparer(uniform.NewRPLS()), 1, 0},
+		{"uniform/rand/m=1", uniFx, preparer(uniform.NewRPLS()), 1, 1},
+		{"boost2-uniform", uniFx, preparer(uniform.NewRPLS()), 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := engine.FromRPLS(core.Boost(tc.count, tc.boost))
+			legal, illegal := tc.fx.legal, tc.fx.illegal
+			n := illegal.G.N()
+			if legal.G.N() != n {
+				t.Fatalf("fixture twins have %d and %d nodes", legal.G.N(), n)
+			}
+			opts := []engine.Option{engine.WithTrials(trials), engine.WithSeed(seed), engine.WithMultiplicity(tc.m)}
+			got, err := engine.Soundness(s, legal, illegal, append(opts, engine.WithAssignments(assignments))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls, want := tc.count.calls.Load(), int64(n+assignments+assignments*n); calls != want {
+				t.Errorf("Soundness made %d Prepare calls, want %d: n = %d for the honest labels, one per bit-flip assignment (%d), and n per random assignment",
+					calls, want, n, assignments)
+			}
+
+			honest, err := s.Label(legal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			estimate := func(labels []core.Label) engine.Summary {
+				sum, err := engine.Estimate(s, illegal, append(opts, engine.WithLabels(labels))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sum
+			}
+			worst := func(name string, draw func() []core.Label) engine.AdversaryResult {
+				r := engine.AdversaryResult{Adversary: name, Assignments: assignments}
+				for a := 0; a < assignments; a++ {
+					if sum := estimate(draw()); a == 0 || sum.Acceptance > r.Worst.Acceptance {
+						r.WorstIndex, r.Worst = a, sum
+					}
+				}
+				return r
+			}
+			maxBits := 32
+			if b := core.MaxBits(honest); b > 0 {
+				maxBits = b
+			}
+			rng := prng.New(seed).Fork(0xadee5a27)
+			want := []engine.AdversaryResult{
+				{Adversary: engine.AdversaryTransplant, Assignments: 1, Worst: estimate(honest)},
+				worst(engine.AdversaryRandom, func() []core.Label { return engine.RandomLabels(rng, n, maxBits) }),
+				worst(engine.AdversaryBitFlip, func() []core.Label { return engine.BitFlippedLabels(rng, honest) }),
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("Soundness %+v\ndiffers from its decomposition %+v", got, want)
+			}
+		})
 	}
 }
