@@ -48,8 +48,9 @@ func PortClass(i, m int) int {
 // at broadcast (m=1) to deg framed singletons at unicast — whereas the
 // CapReplicate fallback is flat in m. m <= 0 returns certs untouched.
 // Each class message is sized first, by CapWidths into sc's call region,
-// and written into exactly that many bytes of sc's run region, so it
-// lives as long as the certificates of the run it is sent in.
+// which it gives back on return, and written into exactly that many bytes
+// of sc's run region, so it lives as long as the certificates of the run
+// it is sent in.
 //
 //pls:hotpath
 func CapMerge(certs []Cert, m int, sc *Scratch) []Cert {
@@ -57,11 +58,12 @@ func CapMerge(certs []Cert, m int, sc *Scratch) []Cert {
 		return certs
 	}
 	deg := len(certs)
+	call := sc.mark()
 	bits := sc.ints.take(deg)
 	for i, c := range certs {
 		bits[i] = c.Len()
 	}
-	CapWidths(bits, m, true)
+	CapWidths(bits, m)
 	var w bitstring.Writer
 	for k := 0; k < min(m, deg); k++ {
 		w.ResetInto(sc.run.take((bits[k] + 7) / 8))
@@ -75,34 +77,27 @@ func CapMerge(certs []Cert, m int, sc *Scratch) []Cert {
 			certs[i] = msg
 		}
 	}
+	sc.release(call)
 	return certs
 }
 
 // CapWidths rewrites widths, the length of a node's string on each port,
-// into the length of what cap m sends there: the CapMerge message of the
-// port's class when merge holds, gamma(classSize) and then every member's
-// gamma(len)‖member, and the class's longest string otherwise
-// (CapReplicate). It is the one sizing definition of a class message:
+// into the length of the CapMerge message cap m sends there:
+// gamma(classSize) and then every member's gamma(len)‖member, for the
+// port's class. It is the one sizing definition of a class message:
 // CapMerge sizes the messages it writes through it, and the engine meters
-// a capped node's coin-free widths with it.
+// a merged node's coin-free widths with it.
 //
 //pls:hotpath
-func CapWidths(widths []int, m int, merge bool) {
+func CapWidths(widths []int, m int) {
 	deg := len(widths)
 	if m <= 0 {
 		return
 	}
 	for k := 0; k < min(m, deg); k++ {
-		bits := 0
-		if merge {
-			bits = bitstring.GammaBits(uint64((deg - k + m - 1) / m))
-		}
+		bits := bitstring.GammaBits(uint64((deg - k + m - 1) / m))
 		for i := k; i < deg; i += m {
-			if merge {
-				bits += bitstring.GammaBits(uint64(widths[i])) + widths[i]
-			} else {
-				bits = max(bits, widths[i])
-			}
+			bits += bitstring.GammaBits(uint64(widths[i])) + widths[i]
 		}
 		for i := k; i < deg; i += m {
 			widths[i] = bits

@@ -283,6 +283,35 @@ func TestDecideWindowsHoldsOneGroup(t *testing.T) {
 	}
 }
 
+// TestCapMergeGivesBackItsSizing: CapMerge sizes its class messages in
+// the call region and gives those ints back before it returns, so the
+// lanes of one capped Certs call, each merged on the same Scratch without
+// a reset in between, hold one lane's sizing, not lanes·deg ints.
+func TestCapMergeGivesBackItsSizing(t *testing.T) {
+	const lanes, deg = 64, 1024
+	var w bitstring.Writer
+	w.WriteBit(1)
+	bit := w.String()
+	certs := make([][]core.Cert, lanes)
+	for l := range certs {
+		certs[l] = make([]core.Cert, deg)
+		for i := range certs[l] {
+			certs[l][i] = bit
+		}
+	}
+	sc := new(core.Scratch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range certs {
+		core.CapMerge(c, 1, sc)
+	}
+	runtime.ReadMemStats(&after)
+	all := uint64(lanes * deg * int(unsafe.Sizeof(0)))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= all/2 {
+		t.Fatalf("%d merges allocate %d bytes, not under half of all lanes' sizing (%d bytes)", lanes, got, all)
+	}
+}
+
 func TestCapReplicateElectsMaxLength(t *testing.T) {
 	certs := makeCerts(7)
 	orig := makeCerts(7)

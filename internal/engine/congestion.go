@@ -107,14 +107,29 @@ func (n *capNode) Certs(rngs []*prng.Rand, out [][]core.Cert, sc *core.Scratch) 
 }
 
 // CoinFree implements core.Prepared from the inner node's report: its
-// widths degraded by the class rule (core.CapWidths), and its vote, which
-// every merged window and every replicated round goes through.
+// widths degraded by the class rule, and its vote, which every merged
+// window and every replicated round goes through. A merged class sends
+// its core.CapWidths message; a replicated class (core.CapReplicate) its
+// longest member.
 func (n *capNode) CoinFree(widths []int) (sized, rejects bool) {
 	sized, rejects = n.inner.CoinFree(widths)
-	if sized {
-		core.CapWidths(widths, n.m, n.merge)
+	if !sized {
+		return false, rejects
 	}
-	return sized, rejects
+	if n.merge {
+		core.CapWidths(widths, n.m)
+		return true, rejects
+	}
+	for k := 0; k < min(n.m, n.deg); k++ {
+		w := 0
+		for i := k; i < n.deg; i += n.m {
+			w = max(w, widths[i])
+		}
+		for i := k; i < n.deg; i += n.m {
+			widths[i] = w
+		}
+	}
+	return true, rejects
 }
 
 // Decide implements core.Prepared. A replicated string is a well-formed

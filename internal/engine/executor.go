@@ -260,11 +260,11 @@ func (p *prepared) meter(c *graph.Config, labels []core.Label) {
 // windows gathered through one RevEdge lookup per port, AND-reducing
 // per-node vote masks into per-trial acceptance. A block whose widths the
 // coins set is written and metered lane by lane before any node decides;
-// every other block was metered once, when the nodes were prepared. An
-// estimate's run writes such a block the first time a deciding neighbor
-// reads it, since it stops deciding once every lane has rejected and
-// decides nothing when a node rejects coin-free; Round decides every node,
-// so it writes every block before any node decides. Lane l of a batch
+// every other block was metered once, when the nodes were prepared, and is
+// written the first time a deciding neighbor reads it. An estimate's run
+// stops deciding once every lane has rejected and decides nothing when a
+// node rejects coin-free, so it may leave such blocks unwritten; Round
+// decides every node, so it writes every block. Lane l of a batch
 // starting at trial t runs node streams prng.New(seed+t+l).Fork(v),
 // whenever its block is written, so votes and Stats do not depend on the
 // lane width. Sequential runs the loop one lane wide, Batched up to 64.
@@ -446,15 +446,15 @@ func (k *kernel) write(p *prepared, v, width int) {
 // bit for bit the round-order concatenation of those shards. Each run's
 // Stats start from p.base, which holds every sized node's widths, and the
 // certificate traversal writes and meters, lane by lane, the blocks of the
-// nodes that are not sized. When needVotes is set, lane 0's per-node votes
-// land in k.votes and every node decides, so the certificate traversal
-// writes every block, in node order. Otherwise only acceptance is wanted:
-// a trial accepts only if every node does, so the decide traversal stops
-// once every lane has rejected, and does not start when a node rejects
-// coin-free; a sized node's block is written, from the same streams, when
-// the decide gather first reads it, and the blocks no decided node reads
-// are never written. The scratch's run region is reset once, here, and
-// its call region before each node call.
+// nodes that are not sized. A sized node's block is written, from the
+// same streams, when the decide gather first reads it, so the blocks no
+// decided node reads are never written. When needVotes is set, lane 0's
+// per-node votes land in k.votes and every node decides, so every block
+// is read. Otherwise only acceptance is wanted: a trial accepts only if
+// every node does, so the decide traversal stops once every lane has
+// rejected, and does not start when a node rejects coin-free. The
+// scratch's run region is reset once, here, and its call region before
+// each node call.
 //
 //pls:hotpath
 func (k *kernel) run(p *prepared, c *graph.Config, firstSeed uint64, width int, needVotes bool) {
@@ -474,14 +474,11 @@ func (k *kernel) run(p *prepared, c *graph.Config, firstSeed uint64, width int, 
 	for v := 0; v < n; v++ {
 		k.written[v] = false
 		deg := k.csr.Degree(v)
-		if deg == 0 || p.sized[v] && !needVotes {
+		if deg == 0 || p.sized[v] {
 			continue
 		}
 		k.write(p, v, width)
 		computed++
-		if p.sized[v] {
-			continue // metered in p.base
-		}
 		block := k.planeBlock(v, width)
 		for l := range stats {
 			for _, cert := range block[l*deg : (l+1)*deg] {
